@@ -1,6 +1,6 @@
 DUNE ?= dune
 
-.PHONY: all build test doc bench-smoke bench-replay bench-engine bench-sip bench-storage bench-server bench-updates bench-reform bench-feedback bench ci clean
+.PHONY: all build test stress doc bench-smoke bench-replay bench-engine bench-sip bench-storage bench-server bench-updates bench-reform bench-feedback bench-profile bench ci clean
 
 all: build
 
@@ -9,6 +9,21 @@ build:
 
 test:
 	$(DUNE) runtest
+
+# The tier-1 suite 20 times over, stopping at the first failing run
+# and printing its log. Races between parallel union arms (jobs > 1)
+# fail intermittently, so one passing run proves little on a multicore
+# host.
+stress: build
+	@mkdir -p _build
+	@for i in $$(seq 1 20); do \
+	  if ! $(DUNE) runtest --force > _build/stress.log 2>&1; then \
+	    cat _build/stress.log; \
+	    echo "stress: run $$i of 20 failed"; \
+	    exit 1; \
+	  fi; \
+	done; \
+	echo "stress: 20 of 20 runs passed"
 
 # API documentation from the odoc comments on every public .mli.
 # (If odoc is not installed, `dune build @doc` is a no-op.)
@@ -101,11 +116,16 @@ bench-feedback: build
 	$(DUNE) exec bench/main.exe -- --exp feedback --small 5000 \
 	  --json BENCH_PR10.json
 
+# The trajectory benchmark (perfbench/, BENCHMARK.json): every workload
+# once, seed 1, 16-second runs, end-to-end metrics only.
+bench-profile:
+	bash perfbench/run.sh --workload all --seed 1 --seconds 16 --trace 0
+
 # The full benchmark suite at the default (sequential) job count.
 bench: build
 	$(DUNE) exec bench/main.exe
 
-ci: test doc bench-smoke bench-replay bench-engine bench-sip bench-storage bench-server bench-updates bench-reform bench-feedback
+ci: stress doc bench-smoke bench-replay bench-engine bench-sip bench-storage bench-server bench-updates bench-reform bench-feedback
 
 clean:
 	$(DUNE) clean

@@ -389,33 +389,33 @@ let explain_cmd =
     apply_feedback engine feedback;
     let fb = Obda.feedback_store engine in
     let q = find_query ~inline qname in
-    let reformulate () = Obda.reformulate engine tbox strategy q in
-    let fol, events =
-      if trace then Obs.Trace.record reformulate else reformulate (), []
+    let profile = Obda.profile engine and lay = Obda.layout engine in
+    (* ANSWER's own pipeline, plan cache and SIP annotations included:
+       the plan shown is the plan that runs. [show json] renders it. *)
+    let explain () =
+      if analyze then
+        let a = Obda.analyze engine tbox strategy q in
+        let show json =
+          Option.fold ~none:"null" a.Obda.a_stats ~some:(fun s ->
+              if json then Rdbms.Explain.render_analyze_json profile lay s
+              else "\n== explain analyze ==\n" ^ Rdbms.Explain.render_analyze profile lay s)
+        in
+        let o = a.Obda.a_outcome in
+        { o with Obda.answers = Result.map (fun _ -> show) o.Obda.answers }
+      else
+        let o = Obda.explain engine tbox strategy q in
+        let show plan json =
+          if json then Rdbms.Explain.render_json profile lay plan
+          else if show_plan then
+            "\n== physical plan ==\n" ^ Rdbms.Explain.render profile lay plan
+          else ""
+        in
+        { o with Obda.answers = Result.map show o.Obda.answers }
     in
+    let o, events = if trace then Obs.Trace.record explain else explain (), [] in
+    let fol = o.Obda.reformulation in
     let est = Obda.estimator engine Obda.Rdbms_cost in
     let ext = Obda.estimator engine Obda.Ext_cost in
-    let profile = Obda.profile engine and lay = Obda.layout engine in
-    (* mirror Obda.answer: explain what the engine will actually run,
-       including the SIP reducer annotations (on by default) *)
-    let plan = Rdbms.Planner.of_fol lay fol in
-    let plan =
-      if Obda.sip_enabled engine then
-        Cost.Sip_pass.annotate
-          ~model:(Cost.Cost_model.calibrated (match engine_kind with
-            | `Pglite -> `Pglite | `Db2lite -> `Db2lite))
-          ?feedback:fb lay plan
-      else plan
-    in
-    let stats =
-      if analyze then
-        let _, stats =
-          Rdbms.Exec.run_analyzed ~config:profile.Rdbms.Explain.exec_config lay plan
-        in
-        Some stats
-      else None
-    in
-    let sql = Sql.Sql_gen.of_fol lay fol in
     let dialect =
       if Query.Fol.is_ucq fol then "UCQ"
       else if Query.Fol.is_jucq fol then "JUCQ"
@@ -425,9 +425,11 @@ let explain_cmd =
     match format with
     | `Json ->
       let plan_json =
-        match stats with
-        | Some s -> Rdbms.Explain.render_analyze_json profile lay s
-        | None -> Rdbms.Explain.render_json profile lay plan
+        match o.Obda.answers with
+        | Ok show -> show true
+        | Error e ->
+          Fmt.epr "engine error: %s@." e;
+          "null"
       in
       Fmt.pr
         "{\"query\":%S,\"strategy\":%S,\"dialect\":%S,\"cq_disjuncts\":%d,\
@@ -438,8 +440,7 @@ let explain_cmd =
         (Query.Fol.join_width fol)
         (est.Optimizer.Estimator.estimate fol)
         (ext.Optimizer.Estimator.estimate ?feedback:fb fol)
-        (Sql.Sql_ast.length sql)
-        analyze plan_json
+        o.Obda.sql_bytes analyze plan_json
         (String.concat "," (List.map Obs.Trace.event_to_json events))
     | `Text ->
       Fmt.pr "query        : %a@." Query.Cq.pp q;
@@ -449,7 +450,7 @@ let explain_cmd =
       Fmt.pr "join width   : %d@." (Query.Fol.join_width fol);
       Fmt.pr "rdbms cost   : %.0f@." (est.Optimizer.Estimator.estimate fol);
       Fmt.pr "ext cost     : %.0f@." (ext.Optimizer.Estimator.estimate ?feedback:fb fol);
-      Fmt.pr "sql bytes    : %d@." (Sql.Sql_ast.length sql);
+      Fmt.pr "sql bytes    : %d@." o.Obda.sql_bytes;
       let store = Reform.Relstore.of_tbox tbox in
       let root = Covers.Safety.root_cover ~store tbox q in
       Fmt.pr "root cover   : %a@." Covers.Cover.pp root;
@@ -486,18 +487,13 @@ let explain_cmd =
            Fmt.pr "%a@." Cost.Feedback.pp_stats (Cost.Feedback.stats store)
          | None -> Fmt.pr "%-32s (store detached)@." "feedback.epoch")
       end;
-      (match stats with
-       | Some s ->
-         Fmt.pr "@.== explain analyze ==@.%s"
-           (Rdbms.Explain.render_analyze profile lay s)
-       | None ->
-         if show_plan then
-           Fmt.pr "@.== physical plan ==@.%s"
-             (Rdbms.Explain.render profile lay plan));
+      (match o.Obda.answers with
+       | Ok show -> Fmt.pr "%s%!" (show false)
+       | Error e -> Fmt.pr "@.engine error: %s@." e);
       if show_datalog then
         Fmt.pr "@.== datalog program (%d rules) ==@.%s@."
           (Syntax.Datalog.rule_count fol) (Syntax.Datalog.of_fol fol);
-      if show_sql then Fmt.pr "@.== sql ==@.%s@." (Sql.Sql_ast.to_string sql)
+      if show_sql then Fmt.pr "@.== sql ==@.%s@." (Lazy.force o.Obda.sql)
   in
   Cmd.v
     (Cmd.info "explain"

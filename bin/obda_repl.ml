@@ -127,9 +127,10 @@ let run_analyze st text =
 
 let run_plan st text =
   let q = parse_query st text in
-  let fol = Obda.reformulate st.engine st.tbox st.strategy q in
-  let plan = Rdbms.Planner.of_fol (Obda.layout st.engine) fol in
-  print_string (Rdbms.Explain.render (Obda.profile st.engine) (Obda.layout st.engine) plan)
+  match (Obda.explain st.engine st.tbox st.strategy q).Obda.answers with
+  | Ok plan ->
+    print_string (Rdbms.Explain.render (Obda.profile st.engine) (Obda.layout st.engine) plan)
+  | Error msg -> Printf.printf "engine error: %s\n" msg
 
 let run_sql st text =
   let q = parse_query st text in

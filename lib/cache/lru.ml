@@ -22,6 +22,10 @@ type ('k, 'v) t = {
   mutable total_cost : int;
   mutable version : int;
   lock : Mutex.t;
+  pending : ('k, bool) Hashtbl.t;
+      (* keys being computed by {!find_or_compute} -> whether the
+         computing caller runs on a {!Parallel} pool worker *)
+  settled : Condition.t;  (* broadcast whenever a pending key settles *)
   (* private per-instance totals; the registry counters below may be
      shared between instances created with the same name *)
   hits : int Atomic.t;
@@ -65,6 +69,8 @@ let create ?max_cost ?(cost_of = fun _ -> 0) ~name ~capacity () =
     total_cost = 0;
     version = 0;
     lock = Mutex.create ();
+    pending = Hashtbl.create 1;
+    settled = Condition.create ();
     hits = Atomic.make 0;
     misses = Atomic.make 0;
     evictions = Atomic.make 0;
@@ -140,18 +146,27 @@ let set_capacity t c =
       t.capacity <- c;
       if c <= 0 then drop_all t else shrink_to_bounds t)
 
+let count_hit (t : (_, _) t) =
+  Atomic.incr t.hits;
+  Obs.Metrics.incr t.m_hits
+
+let count_miss (t : (_, _) t) =
+  Atomic.incr t.misses;
+  Obs.Metrics.incr t.m_misses
+
+let touch t n =
+  unlink t n;
+  push_front t n;
+  n.value
+
 let find t k =
   locked t (fun () ->
       match Hashtbl.find_opt t.table k with
       | Some n ->
-        unlink t n;
-        push_front t n;
-        Atomic.incr t.hits;
-        Obs.Metrics.incr t.m_hits;
-        Some n.value
+        count_hit t;
+        Some (touch t n)
       | None ->
-        Atomic.incr t.misses;
-        Obs.Metrics.incr t.m_misses;
+        count_miss t;
         None)
 
 (* Insert [k -> v] as most-recent. A value costlier than the whole
@@ -174,13 +189,63 @@ let add t k v = locked t (fun () -> if t.capacity > 0 then insert t k v)
 let add_if_absent t k v =
   locked t (fun () ->
       match Hashtbl.find_opt t.table k with
-      | Some n ->
-        unlink t n;
-        push_front t n;
-        n.value
+      | Some n -> touch t n
       | None ->
         if t.capacity > 0 then insert t k v;
         v)
+
+(* Single flight: the first caller to miss on [k] registers it as
+   pending and computes outside the lock; a concurrent caller on the
+   same key waits for that result instead of computing it again. One
+   exception keeps the pool deadlock-free: a pool worker never waits
+   on a caller outside the pool, whose computation may itself be
+   queued behind that worker ({!Parallel.map} from a non-worker
+   enqueues its chunks) — it computes alongside and publishes
+   first-writer-wins. A computation that raises settles its key
+   unpublished, and its waiters retry. *)
+let find_or_compute t k compute =
+  Mutex.lock t.lock;
+  let rec claim () =
+    match Hashtbl.find_opt t.table k with
+    | Some n -> `Hit (touch t n)
+    | None -> (
+      match Hashtbl.find_opt t.pending k with
+      | Some owner_in_pool when owner_in_pool || not (Parallel.in_worker ()) ->
+        Condition.wait t.settled t.lock;
+        claim ()
+      | Some _ -> `Compute false
+      | None ->
+        let own = t.capacity > 0 in
+        if own then Hashtbl.replace t.pending k (Parallel.in_worker ());
+        `Compute own)
+  in
+  match claim () with
+  | `Hit v ->
+    count_hit t;
+    Mutex.unlock t.lock;
+    v, true
+  | `Compute own ->
+    count_miss t;
+    Mutex.unlock t.lock;
+    let settle () =
+      if own then begin
+        Hashtbl.remove t.pending k;
+        Condition.broadcast t.settled
+      end
+    in
+    (match compute () with
+    | v ->
+      ( locked t (fun () ->
+            settle ();
+            match Hashtbl.find_opt t.table k with
+            | Some n -> touch t n
+            | None ->
+              if t.capacity > 0 then insert t k v;
+              v),
+        false )
+    | exception e ->
+      locked t settle;
+      raise e)
 
 let mem t k = locked t (fun () -> Hashtbl.mem t.table k)
 

@@ -79,6 +79,17 @@ val add_if_absent : ('k, 'v) t -> 'k -> 'v -> 'v
     first-writer-wins publication step for racing computations of the
     same key on the domain pool. *)
 
+val find_or_compute : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v * bool
+(** [find_or_compute t k compute] returns the value bound to [k],
+    computing and storing it on a miss; the flag is [true] on a hit.
+    Single flight: while one caller computes [k], a concurrent lookup
+    of [k] waits for that result and counts as a hit, so [compute]
+    runs once per key however many pool domains miss on it together
+    (a pool worker never waits on a caller outside the pool: it
+    computes alongside instead, and the first stored value wins).
+    [compute] runs without the lock held and may use other caches.
+    With capacity [<= 0] every call computes. *)
+
 val mem : ('k, 'v) t -> 'k -> bool
 (** Membership without touching recency or the hit/miss counters. *)
 

@@ -55,25 +55,53 @@ let make_engine kind layout_kind abox =
 
 let generation e = e.generation
 
-(* Process-wide update sequence: every accepted insert on any engine
-   advances it, and the generation-keyed plan cache is version-flushed
-   against it (its entries embed a superseded generation and would
-   otherwise sit dead in the LRU, evicting live plans). Declared here,
-   applied in [data_changed] below the cache definitions. *)
-let update_seq = Atomic.make 0
+(* The plan cache: repeated queries skip PerfectRef and the EDL/GDL
+   cover search entirely. Keyed by engine id, TBox uid, strategy and
+   the canonical form of the query — a plan is only ever replayed in
+   exactly the context that produced it. Data-independent strategies
+   carry no generation in their key, so their entries survive updates
+   outright. Cost-based keys embed the KB generation (an update shifts
+   the statistics their cover search optimised against), and
+   [data_changed] drops them on every update so superseded entries are
+   reclaimed immediately instead of squatting in the LRU. *)
+type plan = {
+  p_reformulation : Query.Fol.t;
+  p_cover : Covers.Generalized.t option;
+  p_epoch : int;
+      (* the feedback-store correction epoch the plan was costed
+         under; 0 with feedback disabled. A cached cost-based plan
+         whose q-error drifts is only re-ranked once the epoch has
+         advanced — re-searching under unchanged corrections would
+         reproduce the same cover. *)
+}
 
-let flush_gen_plans = ref (fun (_ : int) -> ())
+type plan_key = {
+  k_engine : int;
+  k_generation : int option;  (* [None] for data-independent strategies *)
+  k_tbox : int;
+  k_strategy : string;
+  k_query : string;  (* canonical form *)
+}
+
+let default_plan_cache_capacity = 256
+
+let plan_cost p = Query.Fol.total_atoms p.p_reformulation * 128
+
+let plan_cache : (plan_key, plan) Cache.Lru.t =
+  Cache.Lru.create ~cost_of:plan_cost ~name:"plan"
+    ~capacity:default_plan_cache_capacity ()
 
 (* An accepted insert advances the engine's KB generation and reports
    the touched predicate. Invalidation is predicate-scoped: the view
    store drops exactly the fragments that read the touched predicate
-   (the rest stay warm), the generation-keyed plan cache (GDL/EDL —
-   their covers depend on statistics) is version-flushed, and plans of
-   the data-independent strategies are keyed without the generation,
-   so they survive untouched. *)
+   (the rest stay warm), and this engine's generation-keyed plans
+   (GDL/EDL — their covers depend on statistics) are dropped, since no
+   key can reach them any more. *)
 let data_changed e ~predicate =
   e.generation <- e.generation + 1;
-  !flush_gen_plans (Atomic.fetch_and_add update_seq 1 + 1);
+  ignore
+    (Cache.Lru.invalidate_if plan_cache (fun k ->
+         k.k_engine = e.id && k.k_generation <> None));
   Option.iter
     (fun s -> ignore (Rdbms.Exec.invalidate_views s [ predicate ]))
     e.views
@@ -125,8 +153,6 @@ let engine_name e =
 
 let layout e = e.layout
 
-let kind e = e.kind
-
 let profile e = e.profile
 
 type cost_source =
@@ -152,7 +178,7 @@ let strategy_name = function
     Printf.sprintf "gdl%.0fms/%s" (budget *. 1000.) (cost_source_name src)
   | Edl src -> "edl/" ^ cost_source_name src
 
-type outcome = {
+type 'a run = {
   strategy : strategy;
   reformulation : Query.Fol.t;
   cq_count : int;
@@ -161,17 +187,16 @@ type outcome = {
   search_time : float;
   eval_time : float;
   plan_cached : bool;
-  answers : (string list list, string) Stdlib.result;
+  answers : ('a, string) Stdlib.result;
 }
+
+type outcome = string list list run
+
+let cost_model e = Cost.Cost_model.calibrated e.kind
 
 let estimator e = function
   | Rdbms_cost -> Optimizer.Estimator.rdbms e.profile e.layout
-  | Ext_cost ->
-    let model =
-      Cost.Cost_model.calibrated
-        (match e.kind with `Pglite -> `Pglite | `Db2lite -> `Db2lite)
-    in
-    Optimizer.Estimator.ext model e.layout
+  | Ext_cost -> Optimizer.Estimator.ext (cost_model e) e.layout
 
 (* One optimisation pass: the chosen reformulation, and the chosen
    generalized cover for the strategies that search for one. The
@@ -199,17 +224,6 @@ let compute_plan e tbox strategy q =
 
 let reformulate e tbox strategy q = fst (compute_plan e tbox strategy q)
 
-type plan = {
-  p_reformulation : Query.Fol.t;
-  p_cover : Covers.Generalized.t option;
-  p_epoch : int;
-      (* the feedback-store correction epoch the plan was costed
-         under; 0 with feedback disabled. A cached cost-based plan
-         whose q-error drifts is only re-ranked once the epoch has
-         advanced — re-searching under unchanged corrections would
-         reproduce the same cover. *)
-}
-
 (* A strategy is data-independent when its output is a function of the
    TBox and query alone: UCQ/USCQ/CROOT never consult statistics, so
    their plans stay valid across any sequence of updates. The GDL/EDL
@@ -220,71 +234,29 @@ let data_independent = function
   | Ucq | Uscq | Croot -> true
   | Gdl _ | Gdl_limited _ | Edl _ -> false
 
-(* The plan caches: repeated queries skip PerfectRef and the EDL/GDL
-   cover search entirely. Keyed by engine id, TBox uid, strategy and
-   the canonical form of the query — a plan is only ever replayed in
-   exactly the context that produced it. Data-independent strategies
-   live in [plan_cache] with no generation component, so their entries
-   survive updates outright. Cost-based strategies live in
-   [gen_plan_cache]: their keys embed the KB generation (an update
-   shifts the statistics their cover search optimised against), and
-   the cache is version-flushed on every update so superseded entries
-   are reclaimed immediately instead of squatting in the LRU. *)
-let default_plan_cache_capacity = 256
+let set_plan_cache_capacity n = Cache.Lru.set_capacity plan_cache n
 
-let plan_cost p = Query.Fol.total_atoms p.p_reformulation * 128
+let plan_cache_stats () = Cache.Lru.stats plan_cache
 
-let plan_cache : (string, plan) Cache.Lru.t =
-  Cache.Lru.create ~cost_of:plan_cost ~name:"plan"
-    ~capacity:default_plan_cache_capacity ()
-
-let gen_plan_cache : (string, plan) Cache.Lru.t =
-  Cache.Lru.create ~cost_of:plan_cost ~name:"plan_gen"
-    ~capacity:default_plan_cache_capacity ()
-
-let () = flush_gen_plans := fun seq -> Cache.Lru.set_version gen_plan_cache seq
-
-let set_plan_cache_capacity n =
-  Cache.Lru.set_capacity plan_cache n;
-  Cache.Lru.set_capacity gen_plan_cache n
-
-let plan_cache_stats () =
-  let a = Cache.Lru.stats plan_cache and b = Cache.Lru.stats gen_plan_cache in
-  {
-    a with
-    Cache.Lru.hits = a.Cache.Lru.hits + b.Cache.Lru.hits;
-    misses = a.Cache.Lru.misses + b.Cache.Lru.misses;
-    evictions = a.Cache.Lru.evictions + b.Cache.Lru.evictions;
-    invalidations = a.Cache.Lru.invalidations + b.Cache.Lru.invalidations;
-    entries = a.Cache.Lru.entries + b.Cache.Lru.entries;
-    cost = a.Cache.Lru.cost + b.Cache.Lru.cost;
-    capacity = a.Cache.Lru.capacity + b.Cache.Lru.capacity;
-  }
-
-let clear_plan_cache () =
-  Cache.Lru.clear plan_cache;
-  Cache.Lru.clear gen_plan_cache
+let clear_plan_cache () = Cache.Lru.clear plan_cache
 
 let plan_key e tbox strategy q =
-  let generation = if data_independent strategy then "-" else string_of_int e.generation in
-  Printf.sprintf "%d/%s/%d/%s/%s" e.id generation (Dllite.Tbox.uid tbox)
-    (strategy_name strategy)
-    (Query.Cq.to_string (Query.Cq.canonicalize q))
+  {
+    k_engine = e.id;
+    k_generation = (if data_independent strategy then None else Some e.generation);
+    k_tbox = Dllite.Tbox.uid tbox;
+    k_strategy = strategy_name strategy;
+    k_query = Query.Cq.to_string (Query.Cq.canonicalize q);
+  }
 
 let feedback_epoch e =
   match e.feedback with Some fb -> Cost.Feedback.epoch fb | None -> 0
 
 let plan_for e tbox strategy q =
-  let cache = if data_independent strategy then plan_cache else gen_plan_cache in
-  let key = plan_key e tbox strategy q in
-  match Cache.Lru.find cache key with
-  | Some p -> p, true
-  | None ->
-    let epoch = feedback_epoch e in
-    let fol, cover = compute_plan e tbox strategy q in
-    ( Cache.Lru.add_if_absent cache key
-        { p_reformulation = fol; p_cover = cover; p_epoch = epoch },
-      false )
+  Cache.Lru.find_or_compute plan_cache (plan_key e tbox strategy q) (fun () ->
+      let epoch = feedback_epoch e in
+      let fol, cover = compute_plan e tbox strategy q in
+      { p_reformulation = fol; p_cover = cover; p_epoch = epoch })
 
 let m_queries =
   Obs.Metrics.counter ~help:"end-to-end queries answered" "obda.queries"
@@ -302,11 +274,23 @@ let m_total_ms =
 
 let seconds_since t0 = Int64.to_float (Obs.Mclock.elapsed_ns ~since:t0) /. 1e9
 
-let answer e tbox strategy q =
+(* Planning and SIP annotation run after the plan cache, which stores
+   the reformulation, not the physical plan: toggling SIP takes effect
+   immediately even on cached plans. *)
+let physical_plan e reformulation =
+  let plan = Rdbms.Planner.of_fol e.layout reformulation in
+  if e.sip then
+    Cost.Sip_pass.annotate ~model:(cost_model e) ?feedback:e.feedback e.layout plan
+  else plan
+
+(* The one query pipeline: plan-cache lookup (the search stage), SQL
+   translation and the engine's statement-size check, then physical
+   planning, SIP annotation and [exec] (the evaluation stage). Returns
+   the start time, so callers can close the end-to-end latency. *)
+let pipeline e tbox strategy q ~exec =
   let t0 = Obs.Mclock.now_ns () in
-  let { p_reformulation = reformulation; _ }, plan_cached =
-    plan_for e tbox strategy q
-  in
+  let plan, plan_cached = plan_for e tbox strategy q in
+  let reformulation = plan.p_reformulation in
   let search_time = seconds_since t0 in
   let sql = lazy (Sql.Sql_ast.to_string (Sql.Sql_gen.of_fol e.layout reformulation)) in
   let sql_bytes = String.length (Lazy.force sql) in
@@ -319,40 +303,42 @@ let answer e tbox strategy q =
            "The statement is too long or too complex. Current SQL statement size is \
             %d"
            sql_bytes)
-    | _ ->
-      let plan = Rdbms.Planner.of_fol e.layout reformulation in
-      (* annotation happens after the plan cache (which stores the
-         reformulation, not the physical plan), so toggling SIP takes
-         effect immediately even on cached plans *)
-      let plan =
-        if e.sip then
-          let model =
-            Cost.Cost_model.calibrated
-              (match e.kind with `Pglite -> `Pglite | `Db2lite -> `Db2lite)
-          in
-          Cost.Sip_pass.annotate ~model ?feedback:e.feedback e.layout plan
-        else plan
-      in
-      Ok
-        (Rdbms.Exec.answers ~config:e.profile.Rdbms.Explain.exec_config
-           ?views:e.views e.layout plan)
+    | _ -> Ok (exec (physical_plan e reformulation))
   in
   let eval_time = seconds_since t1 in
+  ( t0,
+    plan,
+    {
+      strategy;
+      reformulation;
+      cq_count = Query.Fol.cq_count reformulation;
+      sql;
+      sql_bytes;
+      search_time;
+      eval_time;
+      plan_cached;
+      answers;
+    } )
+
+let observe t0 o =
   Obs.Metrics.incr m_queries;
-  Obs.Metrics.observe m_search_ms (search_time *. 1000.);
-  Obs.Metrics.observe m_eval_ms (eval_time *. 1000.);
-  Obs.Metrics.observe m_total_ms (seconds_since t0 *. 1000.);
-  {
-    strategy;
-    reformulation;
-    cq_count = Query.Fol.cq_count reformulation;
-    sql;
-    sql_bytes;
-    search_time;
-    eval_time;
-    plan_cached;
-    answers;
-  }
+  Obs.Metrics.observe m_search_ms (o.search_time *. 1000.);
+  Obs.Metrics.observe m_eval_ms (o.eval_time *. 1000.);
+  Obs.Metrics.observe m_total_ms (seconds_since t0 *. 1000.)
+
+let exec_config e = e.profile.Rdbms.Explain.exec_config
+
+let answer e tbox strategy q =
+  let t0, _, o =
+    pipeline e tbox strategy q ~exec:(fun plan ->
+        Rdbms.Exec.answers ~config:(exec_config e) ?views:e.views e.layout plan)
+  in
+  observe t0 o;
+  o
+
+let explain e tbox strategy q =
+  let _, _, o = pipeline e tbox strategy q ~exec:Fun.id in
+  o
 
 let answers_exn e tbox strategy q =
   match (answer e tbox strategy q).answers with
@@ -370,40 +356,14 @@ type analysis = {
 }
 
 let analyze e tbox strategy q =
-  let t0 = Obs.Mclock.now_ns () in
-  let plan_rec, plan_cached = plan_for e tbox strategy q in
-  let reformulation = plan_rec.p_reformulation in
-  let search_time = seconds_since t0 in
-  let sql = lazy (Sql.Sql_ast.to_string (Sql.Sql_gen.of_fol e.layout reformulation)) in
-  let sql_bytes = String.length (Lazy.force sql) in
-  let t1 = Obs.Mclock.now_ns () in
-  let answers, stats =
-    match e.profile.Rdbms.Explain.max_sql_bytes with
-    | Some limit when sql_bytes > limit ->
-      ( Error
-          (Printf.sprintf
-             "The statement is too long or too complex. Current SQL statement \
-              size is %d"
-             sql_bytes),
-        None )
-    | _ ->
-      let plan = Rdbms.Planner.of_fol e.layout reformulation in
-      let plan =
-        if e.sip then
-          let model =
-            Cost.Cost_model.calibrated
-              (match e.kind with `Pglite -> `Pglite | `Db2lite -> `Db2lite)
-          in
-          Cost.Sip_pass.annotate ~model ?feedback:e.feedback e.layout plan
-        else plan
-      in
-      let rel, stats =
-        Rdbms.Exec.run_analyzed ~config:e.profile.Rdbms.Explain.exec_config
-          ?views:e.views e.layout plan
-      in
-      Ok (Rdbms.Exec.decode_rows e.layout rel), Some stats
+  let t0, plan_rec, o =
+    pipeline e tbox strategy q ~exec:(fun plan ->
+        let rel, stats =
+          Rdbms.Exec.run_analyzed ~config:(exec_config e) ?views:e.views e.layout plan
+        in
+        Rdbms.Exec.decode_rows e.layout rel, stats)
   in
-  let eval_time = seconds_since t1 in
+  let stats = Result.to_option (Result.map snd o.answers) in
   (* The drift check prices the plan's root under the corrections it
      was (approximately) costed with — *before* this run's harvest —
      so a plan whose estimate already matches reality never churns. *)
@@ -428,28 +388,14 @@ let analyze e tbox strategy q =
            && q_error > e.drift_threshold
            && Cost.Feedback.epoch fb > plan_rec.p_epoch ->
       let key = plan_key e tbox strategy q in
-      let dropped = Cache.Lru.invalidate_if gen_plan_cache (fun k -> k = key) in
+      let dropped = Cache.Lru.invalidate_if plan_cache (fun k -> k = key) in
       if dropped > 0 then Cost.Feedback.note_rerank ();
       dropped > 0
     | _ -> false
   in
-  Obs.Metrics.incr m_queries;
-  Obs.Metrics.observe m_search_ms (search_time *. 1000.);
-  Obs.Metrics.observe m_eval_ms (eval_time *. 1000.);
-  Obs.Metrics.observe m_total_ms (seconds_since t0 *. 1000.);
+  observe t0 o;
   {
-    a_outcome =
-      {
-        strategy;
-        reformulation;
-        cq_count = Query.Fol.cq_count reformulation;
-        sql;
-        sql_bytes;
-        search_time;
-        eval_time;
-        plan_cached;
-        answers;
-      };
+    a_outcome = { o with answers = Result.map fst o.answers };
     a_stats = stats;
     a_q_error = q_error;
     a_harvested = harvested;

@@ -30,11 +30,6 @@ val engine_name : engine -> string
 
 val layout : engine -> Rdbms.Layout.t
 
-val kind : engine -> engine_kind
-(** The engine profile the engine was built with — callers that
-    re-derive a calibrated cost model (the server's EXPLAIN path) need
-    it back. *)
-
 val profile : engine -> Rdbms.Explain.profile
 
 type cost_source =
@@ -51,7 +46,7 @@ type strategy =
 
 val strategy_name : strategy -> string
 
-type outcome = {
+type 'a run = {
   strategy : strategy;
   reformulation : Query.Fol.t;
   cq_count : int;  (** CQ disjuncts in the reformulation *)
@@ -62,13 +57,21 @@ type outcome = {
   plan_cached : bool;
       (** the reformulation came from the plan cache — no PerfectRef
           call and no cover search ran for this query *)
-  answers : (string list list, string) Stdlib.result;
-      (** sorted certain answers, or the engine error (e.g. the
-          statement-size rejection DB2 raises on the RDF layout) *)
+  answers : ('a, string) Stdlib.result;
+      (** what the pipeline's last stage produced — the sorted certain
+          answers for {!answer}, the physical plan for {!explain} — or
+          the engine error (e.g. the statement-size rejection DB2
+          raises on the RDF layout) *)
 }
+(** One pass through the query pipeline: plan-cache lookup, SQL
+    translation and size check, physical planning, SIP annotation,
+    and a last stage that depends on the caller. *)
+
+type outcome = string list list run
 
 val reformulate : engine -> Dllite.Tbox.t -> strategy -> Query.Cq.t -> Query.Fol.t
-(** Only the reformulation step (no evaluation). *)
+(** Only the reformulation step (no evaluation), searched afresh: it
+    neither reads nor fills the plan cache. *)
 
 val answer : engine -> Dllite.Tbox.t -> strategy -> Query.Cq.t -> outcome
 (** The full pipeline: reformulate, translate to SQL, check engine
@@ -76,6 +79,13 @@ val answer : engine -> Dllite.Tbox.t -> strategy -> Query.Cq.t -> outcome
     {{!section-plan_cache}plan cache}: a repeated query (same engine,
     KB generation, TBox and strategy, equal canonical form) replays
     the memoised reformulation instead of searching again. *)
+
+val explain : engine -> Dllite.Tbox.t -> strategy -> Query.Cq.t -> Rdbms.Plan.t run
+(** {!answer}'s pipeline up to the physical plan, which it returns
+    instead of executing: the plan-cache entry, SQL size check,
+    planner and SIP annotation that the next {!answer} of this query
+    would use, so an EXPLAIN shows the plan that ANSWER runs. Unlike
+    {!answer} it records no query metrics. *)
 
 val answers_exn : engine -> Dllite.Tbox.t -> strategy -> Query.Cq.t -> string list list
 (** Convenience: the answers of {!answer}, raising [Failure] on engine
@@ -90,8 +100,8 @@ val estimator : engine -> cost_source -> Optimizer.Estimator.t
     delta buffers ({!Rdbms.Storage}), indexes and statistics are
     maintained in place, and invalidation is {e predicate-scoped} —
     only the materialised fragment views that read the touched
-    concept/role are dropped, and only the generation-keyed (cost-based)
-    plan-cache entries are flushed; plans of the data-independent
+    concept/role are dropped, and only the engine's generation-keyed
+    (cost-based) plan-cache entries are dropped; plans of the data-independent
     strategies survive updates outright. Consistency of the update is
     the caller's concern ({!Dllite.Kb.check_consistency} /
     {!Reform.Consistency}). *)
@@ -108,31 +118,29 @@ val generation : engine -> int
 
 (** {2:plan_cache Plan cache}
 
-    Two process-wide bounded LRUs memoising the outcome of the
+    A process-wide bounded LRU memoising the outcome of the
     optimisation step — the chosen cover and compiled reformulation —
     keyed by (engine, TBox version, strategy, canonical query). Plans
     of the data-independent strategies ([Ucq]/[Uscq]/[Croot]) carry no
     KB-generation component: they are functions of the TBox and query
     alone, so they survive data updates. Plans of the cost-based
     strategies ([Gdl]/[Gdl_limited]/[Edl]) additionally embed the
-    engine's generation, and their cache is version-flushed on every
-    update (superseded entries would otherwise squat in the LRU until
-    evicted). Repeated-query traffic skips PerfectRef and the EDL/GDL
-    cover search entirely; reformulations are data-independent, so a
-    replayed plan returns the same answers as a fresh search. *)
+    engine's generation, and an update drops that engine's
+    generation-keyed entries (superseded entries would otherwise squat
+    in the LRU until evicted). Repeated-query traffic skips PerfectRef
+    and the EDL/GDL cover search entirely; reformulations are
+    data-independent, so a replayed plan returns the same answers as a
+    fresh search. Concurrent misses on one key search once: the others
+    wait for that search and count as hits. *)
 
 val default_plan_cache_capacity : int
-(** Capacity of {e each} of the two caches. *)
 
 val set_plan_cache_capacity : int -> unit
-(** Resizes both plan caches; [<= 0] disables them. *)
+(** Resizes the plan cache; [<= 0] disables it. *)
 
 val plan_cache_stats : unit -> Cache.Lru.stats
-(** Merged statistics over both plan caches (counters and sizes are
-    summed; the [name]/[version] fields are the stable cache's). *)
 
 val clear_plan_cache : unit -> unit
-(** Clears both plan caches. *)
 
 (** {2 Materialised fragment views}
 
@@ -231,7 +239,9 @@ type analysis = {
 }
 
 val analyze : engine -> Dllite.Tbox.t -> strategy -> Query.Cq.t -> analysis
-(** {!answer} through the instrumented executor: same plan cache, same
-    SIP annotations, identical answers — plus the harvest and the
-    drift check described above. This is the only path that trains the
-    store; plain {!answer} never pays the instrumentation. *)
+(** {!answer}'s pipeline with {!Rdbms.Exec.run_analyzed} as the
+    executor: same plan cache, same SIP annotations, same operator
+    tree, identical answers — plus the harvest and the drift check
+    described above. This is the only path that trains the store
+    (EXPLAIN ANALYZE in the CLI, the REPL and the server runs it);
+    plain {!answer} never pays the instrumentation. *)

@@ -12,9 +12,7 @@ let db2_like = { scan_cache = true; build_cache = true }
 (* Counters are atomic: the arms of a [Union] node evaluate on
    separate domains and bump them concurrently. Every scan/build
    request increments exactly one of (performed, hit), so
-   performed + hit always equals the number of requests — which a
-   racing cache miss may raise above the sequential count (two arms
-   can both miss on the same signature), but never desynchronise. *)
+   performed + hit always equals the number of requests. *)
 type counters = {
   scans : int Atomic.t;
   scan_hits : int Atomic.t;
@@ -22,10 +20,10 @@ type counters = {
   build_hits : int Atomic.t;
 }
 
-(* Registry metrics alongside the per-run counters: request totals are
-   deterministic at any job count (each request bumps exactly one of
-   performed/hit, and the set of requests is fixed by the plan), hit
-   counts can shift under racing misses. *)
+(* Registry metrics alongside the per-run counters: request and hit
+   totals are deterministic at any job count (each request bumps
+   exactly one of performed/hit, the set of requests is fixed by the
+   plan, and the run caches are single-flight). *)
 let m_scan_requests =
   Obs.Metrics.counter ~help:"atom scans requested (performed + cache hits)"
     "exec.scan.requests"
@@ -100,7 +98,42 @@ let run_cache_capacity = Atomic.make default_run_cache_capacity
 
 let set_run_cache_capacity n = Atomic.set run_cache_capacity n
 
-type ctx = {
+type cache_outcome =
+  | Hit
+  | Miss
+  | Uncached
+
+type node_stats = {
+  plan : Plan.t;
+  actual_rows : int;
+  elapsed_ns : int64;
+  cache : cache_outcome;
+  sip_pruned : int;  (* rows dropped by reducer filters at this node *)
+  sip_elided : int;  (* union arms this node never opened *)
+  sip_reducer : string option;  (* reducer kind built at this join *)
+  children : node_stats list;
+}
+
+(* The EXPLAIN ANALYZE accumulator of one operator. *)
+type acc = {
+  a_plan : Plan.t;
+  a_t0 : int64;  (* when the node started compiling *)
+  mutable a_rows : int;
+  mutable a_ns : int64;
+  mutable a_cache : cache_outcome;
+  mutable a_pruned : int;
+  mutable a_elided : int;
+  mutable a_reducer : string option;
+  mutable a_children : acc list;  (* most recently adopted first *)
+}
+
+(* What a run records per operator: nothing, or an accumulator. *)
+type _ mode =
+  | Plain : unit mode
+  | Analyzed : acc mode
+
+type 'n ctx = {
+  mode : 'n mode;
   layout : Layout.t;
   config : config;
   counters : counters;
@@ -189,31 +222,25 @@ let cacheable ctx atom =
   | Layout.Simple _ -> true
   | Layout.Rdf _ -> not (Query.Atom.is_role atom)
 
-type cache_outcome =
-  | Hit
-  | Miss
-  | Uncached
-
-(* Cache protocol under parallelism: [Cache.Lru] locks internally for
-   the lookup and insert, the scan itself runs outside any lock — two
-   arms missing on the same signature recompute the same canonical
-   relation and the last writer wins (idempotent). Each request bumps
-   exactly one counter. *)
+(* Each request bumps exactly one counter. Under parallelism the caches
+   are single-flight ({!Cache.Lru.find_or_compute}): arms missing on
+   the same signature together compute it once, and the others wait
+   and count as hits, so hits and performed scans stay as they are
+   sequentially. *)
 let scan_cached ctx atom =
-  let use_cache = ctx.config.scan_cache && cacheable ctx atom in
-  (* the signature sprintf only pays for itself when the cache is on *)
-  let signature = if use_cache then scan_signature atom else "" in
   Obs.Metrics.incr m_scan_requests;
-  match if use_cache then Cache.Lru.find ctx.scans signature else None with
-  | Some r ->
-    Atomic.incr ctx.counters.scan_hits;
-    Obs.Metrics.incr m_scan_hits;
-    r, Hit
-  | None ->
+  let compute () =
     Atomic.incr ctx.counters.scans;
-    let r = scan_canonical ctx atom in
-    if use_cache then Cache.Lru.add ctx.scans signature r;
-    r, (if use_cache then Miss else Uncached)
+    scan_canonical ctx atom
+  in
+  if ctx.config.scan_cache && cacheable ctx atom then
+    match Cache.Lru.find_or_compute ctx.scans (scan_signature atom) compute with
+    | r, true ->
+      Atomic.incr ctx.counters.scan_hits;
+      Obs.Metrics.incr m_scan_hits;
+      r, Hit
+    | r, false -> r, Miss
+  else compute (), Uncached
 
 let scan ctx atom =
   let canonical, outcome = scan_cached ctx atom in
@@ -249,21 +276,21 @@ let build_cached ctx atom on =
   let key =
     scan_signature atom ^ ":on:" ^ String.concat "," (List.map string_of_int positions)
   in
-  let use_cache = cacheable ctx atom in
   Obs.Metrics.incr m_build_requests;
+  let compute () =
+    Atomic.incr ctx.counters.builds;
+    let canonical, _ = scan_cached ctx atom in
+    Relation.build canonical ~on:(List.map (fun p -> "$" ^ string_of_int p) positions)
+  in
   let build, outcome =
-    match if use_cache then Cache.Lru.find ctx.builds key else None with
-    | Some b ->
-      Atomic.incr ctx.counters.build_hits;
-      Obs.Metrics.incr m_build_hits;
-      b, Hit
-    | None ->
-      Atomic.incr ctx.counters.builds;
-      let canonical, _ = scan_cached ctx atom in
-      let canonical_on = List.map (fun p -> "$" ^ string_of_int p) positions in
-      let b = Relation.build canonical ~on:canonical_on in
-      if use_cache then Cache.Lru.add ctx.builds key b;
-      b, (if use_cache then Miss else Uncached)
+    if cacheable ctx atom then
+      match Cache.Lru.find_or_compute ctx.builds key compute with
+      | b, true ->
+        Atomic.incr ctx.counters.build_hits;
+        Obs.Metrics.incr m_build_hits;
+        b, Hit
+      | b, false -> b, Miss
+    else compute (), Uncached
   in
   build, outcome, payload_rename actual_cols
 
@@ -557,21 +584,99 @@ let encode_out ctx out =
       | `Const k -> `Const (Dllite.Dict.encode dict k))
     out
 
+(* The compiler serves plain and analyzed (EXPLAIN ANALYZE) runs
+   alike; the run's mode only decides what a node records. On a plain
+   run [enter] and [close] do nothing, so the operator tree is exactly
+   the uninstrumented one. On an analyzed run a node's accumulator is
+   charged its compile time at [close] — which includes any child
+   materialised at compile time: builds, merge sorts, materialised
+   fragments, parallel arms — and its wrapped [next] adds wall-clock
+   time and emitted rows. A parent's [next] calls its children's
+   wrapped [next], so every node's time is inclusive of its subtree. *)
+
+let enter : type n. n ctx -> Plan.t -> n =
+ fun ctx plan ->
+  match ctx.mode with
+  | Plain -> ()
+  | Analyzed ->
+    {
+      a_plan = plan;
+      a_t0 = Obs.Mclock.now_ns ();
+      a_rows = 0;
+      a_ns = 0L;
+      a_cache = Uncached;
+      a_pruned = 0;
+      a_elided = 0;
+      a_reducer = None;
+      a_children = [];
+    }
+
+let instrument acc (op : Physical.op) =
+  let next () =
+    let t0 = Obs.Mclock.now_ns () in
+    let r = op.Physical.next () in
+    acc.a_ns <- Int64.add acc.a_ns (Obs.Mclock.elapsed_ns ~since:t0);
+    (match r with
+    | Some b -> acc.a_rows <- acc.a_rows + Batch.length b
+    | None -> ());
+    r
+  in
+  { op with Physical.next }
+
+let close : type n.
+    n ctx ->
+    n ->
+    ?cache:cache_outcome ->
+    ?reducer:Sip.t ->
+    ?elided:int ->
+    Physical.op ->
+    n list ->
+    Physical.op * n =
+ fun ctx node ?(cache = Uncached) ?reducer ?(elided = 0) op children ->
+  match ctx.mode with
+  | Plain -> op, node
+  | Analyzed ->
+    node.a_cache <- cache;
+    node.a_reducer <- Option.map Sip.kind_name reducer;
+    node.a_elided <- elided;
+    node.a_children <- List.rev children;
+    node.a_ns <- Obs.Mclock.elapsed_ns ~since:node.a_t0;
+    instrument node op, node
+
+(* A child opened after its parent closed: a lazily opened union arm. *)
+let adopt : type n. n ctx -> n -> n -> unit =
+ fun ctx node child ->
+  match ctx.mode with
+  | Plain -> ()
+  | Analyzed -> node.a_children <- child :: node.a_children
+
+(* [apply_sip], counting the rows it prunes against [node]. *)
+let filter : type n. n ctx -> n -> senv -> Physical.op -> Physical.op =
+ fun ctx node env op ->
+  match ctx.mode with
+  | Plain -> apply_sip env op
+  | Analyzed ->
+    apply_sip ~on_pruned:(fun n -> node.a_pruned <- node.a_pruned + n) env op
+
 let rec compile ctx env plan =
+  let node = enter ctx plan in
   match plan with
   | Plan.Scan atom -> (
     match segmented_scan_op ctx env atom with
-    | Some op -> apply_sip env op
-    | None -> apply_sip env (Physical.of_relation (fst (scan ctx atom))))
-  | Plan.Hash_join { left; right; on } -> compile_hash ctx env None left right on
-  | Plan.Merge_join { left; right; on } -> compile_merge ctx env None left right on
+    | Some op -> close ctx node (filter ctx node env op) []
+    | None ->
+      let rel, cache = scan ctx atom in
+      close ctx node ~cache (filter ctx node env (Physical.of_relation rel)) [])
+  | Plan.Hash_join { left; right; on } -> compile_hash ctx node env None left right on
+  | Plan.Merge_join { left; right; on } -> compile_merge ctx node env None left right on
   | Plan.Index_join { left; atom; probe_col } ->
-    compile_index ctx env ~sip:false left atom probe_col
+    compile_index ctx node env ~sip:false left atom probe_col
   | Plan.Project { input; out } ->
-    Physical.project
-      (compile ctx (restrict env (Plan.out_cols input)) input)
-      (encode_out ctx out)
-  | Plan.Distinct p -> Physical.distinct (compile ctx env p)
+    let i, n = compile ctx (restrict env (Plan.out_cols input)) input in
+    close ctx node (Physical.project i (encode_out ctx out)) [ n ]
+  | Plan.Distinct p ->
+    let i, n = compile ctx env p in
+    close ctx node (Physical.distinct i) [ n ]
   | Plan.Union { cols; inputs } ->
     (* The embarrassingly parallel hot path: a reformulated UCQ is one
        [Union] whose arms are independent. At jobs > 1 the arms
@@ -591,181 +696,164 @@ let rec compile ctx env plan =
           else Some (aenv, p))
         inputs
     in
+    let elided = List.length inputs - List.length arms in
     Obs.Metrics.add m_union_arms (List.length arms);
     if ctx.jobs > 1 && List.length arms > 1 then
-      let rels =
+      let done_arms =
         Parallel.map ~jobs:ctx.jobs
-          (fun (aenv, p) -> Physical.to_relation (compile ctx aenv p))
+          (fun (aenv, p) ->
+            let op, n = compile ctx aenv p in
+            Physical.to_relation op, n)
           arms
       in
-      Physical.union ~cols (List.map Physical.of_relation rels)
+      close ctx node ~elided
+        (Physical.union ~cols
+           (List.map (fun (rel, _) -> Physical.of_relation rel) done_arms))
+        (List.map snd done_arms)
     else
       (* arms open lazily: arm i's build tables and scan extractions
          are garbage before arm i+1's exist *)
-      Physical.union_delayed ~cols
-        (List.map (fun (aenv, p) () -> compile ctx aenv p) arms)
+      close ctx node ~elided
+        (Physical.union_delayed ~cols
+           (List.map
+              (fun (aenv, p) () ->
+                let op, n = compile ctx aenv p in
+                adopt ctx node n;
+                op)
+              arms))
+        []
   | Plan.Materialize p -> (
     match ctx.views with
-    | None -> compile ctx env p
-    | Some store -> (
-      let key = view_key p in
-      match Cache.Lru.find store key with
-      | Some rel -> apply_sip env (Physical.of_relation rel)
-      | None ->
-        (* the stored fragment is compiled {e without} the reducer
-           environment — the view store is keyed on the fragment alone
-           and outlives this query; filters go on top of the copy *)
-        let rel = Physical.to_relation (compile ctx [] p) in
-        (* keep the first stored copy if a sibling arm won the race *)
-        apply_sip env (Physical.of_relation (Cache.Lru.add_if_absent store key rel))))
+    | None ->
+      let i, n = compile ctx env p in
+      close ctx node i [ n ]
+    | Some store ->
+      (* the stored fragment is compiled {e without} the reducer
+         environment — the view store is keyed on the fragment alone
+         and outlives this query; filters go on top of the copy *)
+      let child = ref [] in
+      let rel, hit =
+        Cache.Lru.find_or_compute store (view_key p) (fun () ->
+            let op, n = compile ctx [] p in
+            child := [ n ];
+            Physical.to_relation op)
+      in
+      close ctx node
+        ~cache:(if hit then Hit else Miss)
+        (filter ctx node env (Physical.of_relation rel))
+        !child)
   | Plan.Sip { join; dir } -> (
     match join with
     | Plan.Hash_join { left; right; on } ->
-      compile_hash ctx env (sip_col on dir) left right on
+      compile_hash ctx node env (sip_col on dir) left right on
     | Plan.Merge_join { left; right; on } ->
-      compile_merge ctx env (sip_col on dir) left right on
+      compile_merge ctx node env (sip_col on dir) left right on
     | Plan.Index_join { left; atom; probe_col } ->
-      compile_index ctx env ~sip:(dir = Plan.Build_to_probe) left atom probe_col
+      compile_index ctx node env ~sip:(dir = Plan.Build_to_probe) left atom probe_col
     | other ->
       (* a stray annotation on a non-join is inert *)
       compile ctx env other)
 
-and compile_hash ctx env sip left right on =
+and compile_hash ctx node env sip left right on =
   let out = Plan.out_cols (Plan.Hash_join { left; right; on }) in
   let lenv = restrict env (Plan.out_cols left) in
   let renv = restrict env (Plan.out_cols right) in
-  (* join-column bindings reach the output through the left side *)
-  let renv_only = List.filter (fun (c, _) -> not (List.mem c on)) renv in
-  match sip with
-  | Some (c, Plan.Probe_to_build) ->
+  match sip, right with
+  | Some (c, Plan.Probe_to_build), _ ->
     (* materialise the probe side first; its key set prunes the build
        subtree — the direction that reaches into a reformulated
        union's arms before any of their rows exist *)
-    let l_rel = Physical.to_relation (compile ctx lenv left) in
-    if Relation.cardinality l_rel = 0 then empty_op out
+    let lop, ln = compile ctx lenv left in
+    let l_rel = Physical.to_relation lop in
+    if Relation.cardinality l_rel = 0 then close ctx node (empty_op out) [ ln ]
     else begin
       let reducer = reducer_of_relation ctx l_rel c in
       Atomic.incr ctx.counters.builds;
-      let r = Physical.to_relation (compile ctx ((c, reducer) :: renv) right) in
-      Physical.hash_join (Physical.of_relation l_rel) r ~on
+      let rop, rn = compile ctx ((c, reducer) :: renv) right in
+      close ctx node ~reducer
+        (Physical.hash_join (Physical.of_relation l_rel) (Physical.to_relation rop) ~on)
+        [ ln; rn ]
     end
-  | Some (c, Plan.Build_to_probe) -> (
-    match right with
-    | Plan.Scan atom when ctx.config.build_cache -> (
-      let build, _outcome, rename = build_cached ctx atom on in
-      if build_key_count build = 0 then empty_op out
-      else
-        match reducer_of_build ctx build with
-        | Some reducer ->
-          let l = compile ctx ((c, reducer) :: lenv) left in
-          apply_sip renv_only (Physical.probe ~rename l ~build ~on)
-        | None ->
-          let l = compile ctx lenv left in
-          apply_sip renv_only (Physical.probe ~rename l ~build ~on))
-    | _ ->
-      Atomic.incr ctx.counters.builds;
-      let r_rel = Physical.to_relation (compile ctx renv right) in
-      if Relation.cardinality r_rel = 0 then empty_op out
-      else begin
-        let reducer = reducer_of_relation ctx r_rel c in
-        let l = compile ctx ((c, reducer) :: lenv) left in
-        Physical.hash_join l r_rel ~on
-      end)
-  | None -> (
-    match right with
-    | Plan.Scan atom when ctx.config.build_cache ->
-      let build, _outcome, rename = build_cached ctx atom on in
-      (* an empty build table yields nothing: the probe subtree is
-         never even compiled *)
-      if build_key_count build = 0 then empty_op out
-      else
-        let l = compile ctx lenv left in
-        apply_sip renv_only (Physical.probe ~rename l ~build ~on)
-    | _ ->
-      (* build side first for the same early exit *)
-      Atomic.incr ctx.counters.builds;
-      let r_rel = Physical.to_relation (compile ctx renv right) in
-      if Relation.cardinality r_rel = 0 then empty_op out
-      else Physical.hash_join (compile ctx lenv left) r_rel ~on)
+  | _, Plan.Scan atom when ctx.config.build_cache ->
+    (* the build side folds into this node: its build outcome is the
+       node's cache outcome, and it has no separate child *)
+    let build, cache, rename = build_cached ctx atom on in
+    (* an empty build table yields nothing: the probe subtree is never
+       even compiled *)
+    if build_key_count build = 0 then close ctx node ~cache (empty_op out) []
+    else begin
+      let reducer =
+        match sip with
+        | Some (c, _) -> Option.map (fun r -> c, r) (reducer_of_build ctx build)
+        | None -> None
+      in
+      let l, ln = compile ctx (Option.to_list reducer @ lenv) left in
+      (* join-column bindings reach the output through the left side *)
+      let renv_only = List.filter (fun (c, _) -> not (List.mem c on)) renv in
+      close ctx node ~cache ?reducer:(Option.map snd reducer)
+        (filter ctx node renv_only (Physical.probe ~rename l ~build ~on))
+        [ ln ]
+    end
+  | _ ->
+    (* build side first for the same early exit *)
+    Atomic.incr ctx.counters.builds;
+    let rop, rn = compile ctx renv right in
+    let r_rel = Physical.to_relation rop in
+    if Relation.cardinality r_rel = 0 then close ctx node (empty_op out) [ rn ]
+    else begin
+      let reducer =
+        Option.map (fun (c, _) -> c, reducer_of_relation ctx r_rel c) sip
+      in
+      let l, ln = compile ctx (Option.to_list reducer @ lenv) left in
+      close ctx node ?reducer:(Option.map snd reducer)
+        (Physical.hash_join l r_rel ~on)
+        [ ln; rn ]
+    end
 
-and compile_merge ctx env sip left right on =
+(* Both sides materialise; the passing side goes first, and an empty
+   passing side leaves the other uncompiled. *)
+and compile_merge ctx node env sip left right on =
   let out = Plan.out_cols (Plan.Merge_join { left; right; on }) in
   let lenv = restrict env (Plan.out_cols left) in
   let renv = restrict env (Plan.out_cols right) in
+  let side env p =
+    let op, n = compile ctx env p in
+    Physical.to_relation op, n
+  in
+  let join l r = Physical.of_relation (Relation.merge_join l r ~on) in
   match sip with
   | Some (c, Plan.Probe_to_build) ->
-    let l = Physical.to_relation (compile ctx lenv left) in
-    if Relation.cardinality l = 0 then empty_op out
+    let l, ln = side lenv left in
+    if Relation.cardinality l = 0 then close ctx node (empty_op out) [ ln ]
     else begin
       let reducer = reducer_of_relation ctx l c in
-      let r = Physical.to_relation (compile ctx ((c, reducer) :: renv) right) in
-      Physical.of_relation (Relation.merge_join l r ~on)
+      let r, rn = side ((c, reducer) :: renv) right in
+      close ctx node ~reducer (join l r) [ ln; rn ]
     end
   | Some (c, Plan.Build_to_probe) ->
-    let r = Physical.to_relation (compile ctx renv right) in
-    if Relation.cardinality r = 0 then empty_op out
+    let r, rn = side renv right in
+    if Relation.cardinality r = 0 then close ctx node (empty_op out) [ rn ]
     else begin
       let reducer = reducer_of_relation ctx r c in
-      let l = Physical.to_relation (compile ctx ((c, reducer) :: lenv) left) in
-      Physical.of_relation (Relation.merge_join l r ~on)
+      let l, ln = side ((c, reducer) :: lenv) left in
+      close ctx node ~reducer (join l r) [ ln; rn ]
     end
   | None ->
-    let l = Physical.to_relation (compile ctx lenv left) in
-    let r = Physical.to_relation (compile ctx renv right) in
-    Physical.of_relation (Relation.merge_join l r ~on)
+    let l, ln = side lenv left in
+    let r, rn = side renv right in
+    close ctx node (join l r) [ ln; rn ]
 
-and compile_index ctx env ~sip left atom probe_col =
+and compile_index ctx node env ~sip left atom probe_col =
   let lcols = Plan.out_cols left in
+  let reducer = if sip then index_reducer ctx atom probe_col else None in
   let lenv = restrict env lcols in
-  let lenv =
-    if sip then
-      match index_reducer ctx atom probe_col with
-      | Some r -> (probe_col, r) :: lenv
-      | None -> lenv
-    else lenv
-  in
-  let op = index_join_op ctx (compile ctx lenv left) atom probe_col in
+  let lenv = match reducer with Some r -> (probe_col, r) :: lenv | None -> lenv in
+  let l, ln = compile ctx lenv left in
   (* outer bindings on the fresh column the index join introduces *)
-  apply_sip (List.filter (fun (c, _) -> not (List.mem c lcols)) env) op
-
-let eval ctx plan = Physical.to_relation (compile ctx [] plan)
-
-(* {2 Instrumented (EXPLAIN ANALYZE) evaluation}
-
-   A second compiler that attaches a mutable accumulator to every
-   operator: the wrapped [next] adds its wall-clock and emitted rows
-   to the node's accumulator, and compilation time (which includes any
-   child materialised at compile time — builds, merge sorts,
-   materialised fragments, parallel arms) is charged to the node up
-   front. Because a parent's [next] calls its children's instrumented
-   [next], every node's time is inclusive of its subtree, matching the
-   semantics of the fully-materialised analyzer this replaces. It
-   shares every helper (and thus every cache and counter) with
-   [compile]; the plain compiler stays allocation-free of stats. *)
-
-type node_stats = {
-  plan : Plan.t;
-  actual_rows : int;
-  elapsed_ns : int64;
-  cache : cache_outcome;
-  sip_pruned : int;  (* rows dropped by reducer filters at this node *)
-  sip_elided : int;  (* union arms this node never opened *)
-  sip_reducer : string option;  (* reducer kind built at this join *)
-  children : node_stats list;
-}
-
-type acc = {
-  a_plan : Plan.t;
-  mutable a_rows : int;
-  mutable a_ns : int64;
-  a_cache : cache_outcome;
-  a_pruned : int ref;
-      (* a ref, not a mutable field: the tally closure is created
-         before the accumulator exists *)
-  a_elided : int;
-  a_reducer : string option;
-  a_children : acc list;
-}
+  let outer = List.filter (fun (c, _) -> not (List.mem c lcols)) env in
+  close ctx node ?reducer
+    (filter ctx node outer (index_join_op ctx l atom probe_col))
+    [ ln ]
 
 let rec stats_of acc =
   {
@@ -773,286 +861,11 @@ let rec stats_of acc =
     actual_rows = acc.a_rows;
     elapsed_ns = acc.a_ns;
     cache = acc.a_cache;
-    sip_pruned = !(acc.a_pruned);
+    sip_pruned = acc.a_pruned;
     sip_elided = acc.a_elided;
     sip_reducer = acc.a_reducer;
-    children = List.map stats_of acc.a_children;
+    children = List.rev_map stats_of acc.a_children;
   }
-
-let instrument acc (op : Physical.op) =
-  let next () =
-    let t0 = Obs.Mclock.now_ns () in
-    let r = op.Physical.next () in
-    acc.a_ns <- Int64.add acc.a_ns (Obs.Mclock.elapsed_ns ~since:t0);
-    (match r with
-    | Some b -> acc.a_rows <- acc.a_rows + Batch.length b
-    | None -> ());
-    r
-  in
-  { op with Physical.next }
-
-let rec compile_analyzed ctx env plan =
-  let t0 = Obs.Mclock.now_ns () in
-  let finish ?(cache = Uncached) ?(pruned = ref 0) ?(elided = 0) ?reducer op children
-      =
-    let acc =
-      {
-        a_plan = plan;
-        a_rows = 0;
-        a_ns = 0L;
-        a_cache = cache;
-        a_pruned = pruned;
-        a_elided = elided;
-        a_reducer = reducer;
-        a_children = children;
-      }
-    in
-    acc.a_ns <- Obs.Mclock.elapsed_ns ~since:t0;
-    instrument acc op, acc
-  in
-  (* the three join compilers are shared between the bare node and its
-     [Sip]-annotated form: [finish] closes over the matched [plan], so
-     the accumulator carries the annotation when there is one *)
-  let hash_analyzed sip left right on =
-    let out = Plan.out_cols (Plan.Hash_join { left; right; on }) in
-    let lenv = restrict env (Plan.out_cols left) in
-    let renv = restrict env (Plan.out_cols right) in
-    let renv_only = List.filter (fun (c, _) -> not (List.mem c on)) renv in
-    match sip with
-    | Some (c, Plan.Probe_to_build) ->
-      let lop, ls = compile_analyzed ctx lenv left in
-      let l_rel = Physical.to_relation lop in
-      if Relation.cardinality l_rel = 0 then finish (empty_op out) [ ls ]
-      else begin
-        let reducer = reducer_of_relation ctx l_rel c in
-        Atomic.incr ctx.counters.builds;
-        let rop, rs = compile_analyzed ctx ((c, reducer) :: renv) right in
-        finish ~reducer:(Sip.kind_name reducer)
-          (Physical.hash_join (Physical.of_relation l_rel)
-             (Physical.to_relation rop) ~on)
-          [ ls; rs ]
-      end
-    | Some (c, Plan.Build_to_probe) -> (
-      match right with
-      | Plan.Scan atom when ctx.config.build_cache ->
-        (* the build side folds into this node: its scan/build outcome
-           is the node's cache outcome, and it has no separate child *)
-        let build, outcome, rename = build_cached ctx atom on in
-        if build_key_count build = 0 then finish ~cache:outcome (empty_op out) []
-        else begin
-          let r = reducer_of_build ctx build in
-          let lenv' =
-            match r with
-            | Some reducer -> (c, reducer) :: lenv
-            | None -> lenv
-          in
-          let l, ls = compile_analyzed ctx lenv' left in
-          let pruned = ref 0 in
-          let op =
-            apply_sip
-              ~on_pruned:(fun n -> pruned := !pruned + n)
-              renv_only
-              (Physical.probe ~rename l ~build ~on)
-          in
-          finish ~cache:outcome ~pruned ?reducer:(Option.map Sip.kind_name r) op
-            [ ls ]
-        end
-      | _ ->
-        Atomic.incr ctx.counters.builds;
-        let rop, rs = compile_analyzed ctx renv right in
-        let r_rel = Physical.to_relation rop in
-        if Relation.cardinality r_rel = 0 then finish (empty_op out) [ rs ]
-        else begin
-          let reducer = reducer_of_relation ctx r_rel c in
-          let l, ls = compile_analyzed ctx ((c, reducer) :: lenv) left in
-          finish ~reducer:(Sip.kind_name reducer)
-            (Physical.hash_join l r_rel ~on)
-            [ ls; rs ]
-        end)
-    | None -> (
-      match right with
-      | Plan.Scan atom when ctx.config.build_cache ->
-        let build, outcome, rename = build_cached ctx atom on in
-        if build_key_count build = 0 then finish ~cache:outcome (empty_op out) []
-        else begin
-          let l, ls = compile_analyzed ctx lenv left in
-          let pruned = ref 0 in
-          let op =
-            apply_sip
-              ~on_pruned:(fun n -> pruned := !pruned + n)
-              renv_only
-              (Physical.probe ~rename l ~build ~on)
-          in
-          finish ~cache:outcome ~pruned op [ ls ]
-        end
-      | _ ->
-        Atomic.incr ctx.counters.builds;
-        let rop, rs = compile_analyzed ctx renv right in
-        let r_rel = Physical.to_relation rop in
-        if Relation.cardinality r_rel = 0 then finish (empty_op out) [ rs ]
-        else begin
-          let l, ls = compile_analyzed ctx lenv left in
-          finish (Physical.hash_join l r_rel ~on) [ ls; rs ]
-        end)
-  in
-  let merge_analyzed sip left right on =
-    let out = Plan.out_cols (Plan.Merge_join { left; right; on }) in
-    let lenv = restrict env (Plan.out_cols left) in
-    let renv = restrict env (Plan.out_cols right) in
-    match sip with
-    | Some (c, Plan.Probe_to_build) ->
-      let lop, ls = compile_analyzed ctx lenv left in
-      let l = Physical.to_relation lop in
-      if Relation.cardinality l = 0 then finish (empty_op out) [ ls ]
-      else begin
-        let reducer = reducer_of_relation ctx l c in
-        let rop, rs = compile_analyzed ctx ((c, reducer) :: renv) right in
-        finish ~reducer:(Sip.kind_name reducer)
-          (Physical.of_relation
-             (Relation.merge_join l (Physical.to_relation rop) ~on))
-          [ ls; rs ]
-      end
-    | Some (c, Plan.Build_to_probe) ->
-      let rop, rs = compile_analyzed ctx renv right in
-      let r = Physical.to_relation rop in
-      if Relation.cardinality r = 0 then finish (empty_op out) [ rs ]
-      else begin
-        let reducer = reducer_of_relation ctx r c in
-        let lop, ls = compile_analyzed ctx ((c, reducer) :: lenv) left in
-        finish ~reducer:(Sip.kind_name reducer)
-          (Physical.of_relation
-             (Relation.merge_join (Physical.to_relation lop) r ~on))
-          [ ls; rs ]
-      end
-    | None ->
-      let lop, ls = compile_analyzed ctx lenv left in
-      let rop, rs = compile_analyzed ctx renv right in
-      let rel =
-        Relation.merge_join (Physical.to_relation lop) (Physical.to_relation rop)
-          ~on
-      in
-      finish (Physical.of_relation rel) [ ls; rs ]
-  in
-  let index_analyzed ~sip left atom probe_col =
-    let lcols = Plan.out_cols left in
-    let lenv = restrict env lcols in
-    let r = if sip then index_reducer ctx atom probe_col else None in
-    let lenv' =
-      match r with
-      | Some reducer -> (probe_col, reducer) :: lenv
-      | None -> lenv
-    in
-    let l, ls = compile_analyzed ctx lenv' left in
-    let pruned = ref 0 in
-    let op =
-      apply_sip
-        ~on_pruned:(fun n -> pruned := !pruned + n)
-        (List.filter (fun (c, _) -> not (List.mem c lcols)) env)
-        (index_join_op ctx l atom probe_col)
-    in
-    finish ~pruned ?reducer:(Option.map Sip.kind_name r) op [ ls ]
-  in
-  match plan with
-  | Plan.Scan atom -> (
-    match segmented_scan_op ctx env atom with
-    | Some sop ->
-      let pruned = ref 0 in
-      let op = apply_sip ~on_pruned:(fun n -> pruned := !pruned + n) env sop in
-      finish ~cache:Uncached ~pruned op []
-    | None ->
-      let rel, outcome = scan ctx atom in
-      let pruned = ref 0 in
-      let op =
-        apply_sip
-          ~on_pruned:(fun n -> pruned := !pruned + n)
-          env
-          (Physical.of_relation rel)
-      in
-      finish ~cache:outcome ~pruned op [])
-  | Plan.Hash_join { left; right; on } -> hash_analyzed None left right on
-  | Plan.Merge_join { left; right; on } -> merge_analyzed None left right on
-  | Plan.Index_join { left; atom; probe_col } ->
-    index_analyzed ~sip:false left atom probe_col
-  | Plan.Project { input; out } ->
-    let i, is_ = compile_analyzed ctx (restrict env (Plan.out_cols input)) input in
-    finish (Physical.project i (encode_out ctx out)) [ is_ ]
-  | Plan.Distinct p ->
-    let i, is_ = compile_analyzed ctx env p in
-    finish (Physical.distinct i) [ is_ ]
-  | Plan.Union { cols; inputs } ->
-    let arms =
-      List.filter_map
-        (fun p ->
-          let aenv = remap_env env cols (Plan.out_cols p) in
-          if provably_empty ctx aenv p then begin
-            Obs.Metrics.incr m_sip_elided;
-            None
-          end
-          else Some (aenv, p))
-        inputs
-    in
-    let elided = List.length inputs - List.length arms in
-    Obs.Metrics.add m_union_arms (List.length arms);
-    if ctx.jobs > 1 && List.length arms > 1 then begin
-      (* arms compile, drain and account on the pool; the domain join
-         gives the happens-before that makes their accumulators safe
-         to read here *)
-      let done_arms =
-        Parallel.map ~jobs:ctx.jobs
-          (fun (aenv, p) ->
-            let op, acc = compile_analyzed ctx aenv p in
-            Physical.to_relation op, acc)
-          arms
-      in
-      finish ~elided
-        (Physical.union ~cols
-           (List.map (fun (rel, _) -> Physical.of_relation rel) done_arms))
-        (List.map snd done_arms)
-    end
-    else begin
-      let done_arms = List.map (fun (aenv, p) -> compile_analyzed ctx aenv p) arms in
-      finish ~elided
-        (Physical.union ~cols (List.map fst done_arms))
-        (List.map snd done_arms)
-    end
-  | Plan.Materialize p -> (
-    match ctx.views with
-    | None ->
-      let i, is_ = compile_analyzed ctx env p in
-      finish i [ is_ ]
-    | Some store -> (
-      let key = view_key p in
-      let filtered ~cache rel children =
-        let pruned = ref 0 in
-        let op =
-          apply_sip
-            ~on_pruned:(fun n -> pruned := !pruned + n)
-            env
-            (Physical.of_relation rel)
-        in
-        finish ~cache ~pruned op children
-      in
-      match Cache.Lru.find store key with
-      | Some rel -> filtered ~cache:Hit rel []
-      | None ->
-        (* stored unfiltered (see [compile]); reducers on top *)
-        let op, is_ = compile_analyzed ctx [] p in
-        let rel = Cache.Lru.add_if_absent store key (Physical.to_relation op) in
-        filtered ~cache:Miss rel [ is_ ]))
-  | Plan.Sip { join; dir } -> (
-    match join with
-    | Plan.Hash_join { left; right; on } ->
-      hash_analyzed (sip_col on dir) left right on
-    | Plan.Merge_join { left; right; on } ->
-      merge_analyzed (sip_col on dir) left right on
-    | Plan.Index_join { left; atom; probe_col } ->
-      index_analyzed ~sip:(dir = Plan.Build_to_probe) left atom probe_col
-    | other -> compile_analyzed ctx env other)
-
-let eval_analyzed ctx plan =
-  let op, acc = compile_analyzed ctx [] plan in
-  let rel = Physical.to_relation op in
-  rel, stats_of acc
 
 (* Every access to the run caches is gated on the config flags
    ([scan_cached] checks [scan_cache]; [probe_cached] is only reached
@@ -1061,7 +874,7 @@ let eval_analyzed ctx plan =
    eight metrics-registry lookups per query. *)
 let disabled_run_caches = fresh_run_caches ()
 
-let make_ctx config counters views jobs layout =
+let make_ctx mode config counters views jobs layout =
   let counters = Option.value ~default:(fresh_counters ()) counters in
   let jobs =
     match jobs with Some j -> max 1 j | None -> Parallel.default_jobs ()
@@ -1071,6 +884,7 @@ let make_ctx config counters views jobs layout =
     else disabled_run_caches
   in
   {
+    mode;
     layout;
     config;
     counters;
@@ -1083,10 +897,13 @@ let make_ctx config counters views jobs layout =
   }
 
 let run ?(config = postgres_like) ?counters ?views ?jobs layout plan =
-  eval (make_ctx config counters views jobs layout) plan
+  let op, () = compile (make_ctx Plain config counters views jobs layout) [] plan in
+  Physical.to_relation op
 
 let run_analyzed ?(config = postgres_like) ?counters ?views ?jobs layout plan =
-  eval_analyzed (make_ctx config counters views jobs layout) plan
+  let op, acc = compile (make_ctx Analyzed config counters views jobs layout) [] plan in
+  let rel = Physical.to_relation op in
+  rel, stats_of acc
 
 let decode_rows layout rel =
   let dict = Layout.dict layout in

@@ -4,8 +4,10 @@
     hash joins build once from columns and probe batch-at-a-time, and
     [Distinct] dedupes incrementally. The pipeline breakers are hash
     builds, merge-join sorts, [Materialize] fragments and parallel
-    union arms. (The pre-columnar row-at-a-time engine survives as
-    {!Rowexec} for benchmarking and differential testing.)
+    union arms. One compiler serves both {!run} and {!run_analyzed};
+    an analyzed run only adds per-operator accounting on top of the
+    same operator tree. (The pre-columnar row-at-a-time engine
+    survives as {!Rowexec}, the reference in differential tests.)
 
     The configuration models the engine-level runtime
     differences §6 of the paper observes between Postgres and DB2:
@@ -19,8 +21,9 @@
     {!Parallel.default_jobs}); arm results merge positionally in input
     order, so answers are identical at any job count, and [jobs = 1]
     never touches the pool. The scan/build caches are shared across
-    arms (bounded {!Cache.Lru} instances, internally locked); the
-    counters are atomic. *)
+    arms (bounded {!Cache.Lru} instances, internally locked and
+    single-flight, so concurrent arms never compute the same entry
+    twice); the counters are atomic. *)
 
 type config = {
   scan_cache : bool;  (** share identical atom scans within one query *)
@@ -42,9 +45,9 @@ type counters = {
 }
 (** Atomic so parallel union arms can bump them concurrently. Each
     scan (resp. build) request increments exactly one of the pair, so
-    [scans + scan_hits] equals the number of requests at any job
-    count; under parallelism two arms may both miss on a signature,
-    shifting a hit into a performed scan, but the total is stable. *)
+    [scans + scan_hits] equals the number of requests. Both counts are
+    the same at any job count: arms that miss on the same signature
+    together wait for one computation and count as hits. *)
 
 type view_store = (string list * string, Relation.t) Cache.Lru.t
 (** Materialised fragment views (the paper's §7 future-work extension):
@@ -120,7 +123,9 @@ type node_stats = {
       (** the kind of reducer an annotated join built ([bitset] or
           [bloom]); [None] on unannotated nodes *)
   children : node_stats list;
-      (** in plan order. A hash join whose build side is a cached base
+      (** the inputs this node opened, in plan order: a union's arms
+          that were not elided, a view-store hit none. A hash join
+          whose build side is a cached base
           scan folds the build into the join node: it has one child
           (the probe side) and carries the build's cache outcome. An
           empty build side elides the probe child entirely. *)
@@ -138,10 +143,11 @@ val run_analyzed :
   Plan.t ->
   Relation.t * node_stats
 (** Like {!run}, but also records per-operator actual cardinalities,
-    cache outcomes and monotonic timings. Shares every cache, counter
-    and parallel code path with {!run} — the returned relation is
-    identical to [run]'s at any job count; only the timings vary run
-    to run. Union arms are instrumented concurrently on the pool. *)
+    cache outcomes and monotonic timings. It compiles the plan with
+    {!run}'s compiler, so it opens the same operators in the same
+    order (sequential union arms stream lazily, parallel ones run on
+    the pool) and the returned relation is identical to [run]'s at any
+    job count; only the timings vary run to run. *)
 
 val answers :
   ?config:config ->

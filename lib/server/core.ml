@@ -336,46 +336,51 @@ let run_answer t s ~id ~cq ~strategy ~deadline_ms ~limit ~enq_ns =
              (List.map (fun row -> Wire.List (List.map (fun v -> Wire.String v) row)) shown)
          ])
 
+(* EXPLAIN runs ANSWER's pipeline up to the physical plan, so it shows
+   the cached plan that ANSWER runs; EXPLAIN ANALYZE runs it through the
+   instrumented executor ({!Obda.analyze}). *)
 let run_explain t s ~id ~cq ~strategy ~analyze =
   let reply =
     read_locked t.rw (fun () ->
-        let fol = Obda.reformulate t.engine t.tbox strategy cq in
         let profile = Obda.profile t.engine and lay = Obda.layout t.engine in
-        let plan = Rdbms.Planner.of_fol lay fol in
-        let plan =
-          if Obda.sip_enabled t.engine then
-            Cost.Sip_pass.annotate
-              ~model:(Cost.Cost_model.calibrated (Obda.kind t.engine))
-              lay plan
-          else plan
+        let reply (o : _ Obda.run) plan_json =
+          let fol = o.Obda.reformulation in
+          let dialect =
+            if Query.Fol.is_ucq fol then "UCQ"
+            else if Query.Fol.is_jucq fol then "JUCQ"
+            else if Query.Fol.is_juscq fol then "JUSCQ"
+            else "FOL"
+          in
+          Result.map
+            (fun r ->
+              [ "strategy", Wire.String (Obda.strategy_name strategy);
+                "dialect", Wire.String dialect;
+                "cq_disjuncts", Wire.Int o.Obda.cq_count;
+                "join_width", Wire.Int (Query.Fol.join_width fol);
+                "sql_bytes", Wire.Int o.Obda.sql_bytes;
+                "analyze", Wire.Bool analyze;
+                "plan", Wire.Raw (plan_json r) ])
+            o.Obda.answers
         in
-        let plan_json =
-          if analyze then
-            let _, stats =
-              Rdbms.Exec.run_analyzed ~config:profile.Rdbms.Explain.exec_config lay plan
-            in
-            Rdbms.Explain.render_analyze_json profile lay stats
-          else Rdbms.Explain.render_json profile lay plan
-        in
-        let dialect =
-          if Query.Fol.is_ucq fol then "UCQ"
-          else if Query.Fol.is_jucq fol then "JUCQ"
-          else if Query.Fol.is_juscq fol then "JUSCQ"
-          else "FOL"
-        in
-        let sql = Sql.Sql_gen.of_fol lay fol in
-        Protocol.ok ~id
-          [ "strategy", Wire.String (Obda.strategy_name strategy);
-            "dialect", Wire.String dialect;
-            "cq_disjuncts", Wire.Int (Query.Fol.cq_count fol);
-            "join_width", Wire.Int (Query.Fol.join_width fol);
-            "sql_bytes", Wire.Int (Sql.Sql_ast.length sql);
-            "analyze", Wire.Bool analyze;
-            "plan", Wire.Raw plan_json ])
+        if analyze then
+          let a = Obda.analyze t.engine t.tbox strategy cq in
+          reply a.Obda.a_outcome (fun _ ->
+              Option.fold ~none:"null"
+                ~some:(Rdbms.Explain.render_analyze_json profile lay)
+                a.Obda.a_stats)
+        else
+          reply (Obda.explain t.engine t.tbox strategy cq)
+            (Rdbms.Explain.render_json profile lay))
   in
-  job_done t ~ok:true;
-  Atomic.incr s.s_ok;
-  send s reply
+  match reply with
+  | Ok fields ->
+    job_done t ~ok:true;
+    Atomic.incr s.s_ok;
+    send s (Protocol.ok ~id fields)
+  | Error e ->
+    job_done t ~ok:false;
+    Atomic.incr s.s_errors;
+    send s (Protocol.error ~id ("engine: " ^ e))
 
 (* How long the exclusive write lock is held per UPDATE request. With
    delta-buffered storage this is O(pending delta) per insert, not

@@ -23,8 +23,10 @@
     insert path (not audited for concurrent writers) is serialised
     while readers still overlap each other. An UPDATE bumps the KB
     generation; in-flight sessions observe it on their next request
-    because every plan-cache key carries the generation (see
-    DESIGN.md §13).
+    because the update drops every plan chosen under the old
+    statistics (see DESIGN.md §13). EXPLAIN goes through ANSWER's own
+    pipeline ({!Obda.explain}, {!Obda.analyze}), so it reports the
+    cached plan that ANSWER runs.
 
     Session replies to pipelined requests may arrive out of request
     order; clients correlate them with the echoed ["id"] field. *)

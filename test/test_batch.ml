@@ -289,10 +289,41 @@ let qcheck_structural_key_injective =
       let p1 = plan s1 and p2 = plan s2 in
       (p1 = p2) = (Plan.structural_key p1 = Plan.structural_key p2))
 
+(* An EXPLAIN ANALYZE node's children are the inputs it opened, in
+   plan order: a subsequence of its plan's inputs (those of the
+   annotated join under a [Sip]), and for a union exactly the arms it
+   did not elide. *)
+let rec opened_inputs_only (s : Exec.node_stats) =
+  let inputs =
+    match s.Exec.plan with
+    | Plan.Hash_join { left; right; _ }
+    | Plan.Merge_join { left; right; _ }
+    | Plan.Sip { join = Plan.Hash_join { left; right; _ } | Plan.Merge_join { left; right; _ }; _ } ->
+      [ left; right ]
+    | Plan.Index_join { left; _ } | Plan.Sip { join = Plan.Index_join { left; _ }; _ } ->
+      [ left ]
+    | Plan.Project { input; _ } -> [ input ]
+    | Plan.Distinct p | Plan.Materialize p -> [ p ]
+    | Plan.Union { inputs; _ } -> inputs
+    | Plan.Scan _ | Plan.Sip _ -> []
+  in
+  let rec subsequence xs ys =
+    match xs, ys with
+    | [], _ -> true
+    | _, [] -> false
+    | x :: xs', y :: ys' -> if x = y then subsequence xs' ys' else subsequence xs ys'
+  in
+  let children = List.map (fun c -> c.Exec.plan) s.Exec.children in
+  subsequence children inputs
+  && (match s.Exec.plan with
+     | Plan.Union _ -> List.length children + s.Exec.sip_elided = List.length inputs
+     | _ -> true)
+  && List.for_all opened_inputs_only s.Exec.children
+
 (* The differential property: on any plan over any data, the batch
    engine (either cache config, sequential or parallel, simple or RDF
-   layout, with or without a view store) computes the same bag as the
-   legacy row-at-a-time engine. *)
+   layout, with or without a view store, plain or analyzed) computes
+   the same bag as the legacy row-at-a-time engine. *)
 let qcheck_batch_equals_rowexec =
   QCheck2.Test.make ~name:"batch engine = row engine on random plans"
     ~count:120
@@ -312,10 +343,20 @@ let qcheck_batch_equals_rowexec =
               let got = Exec.run ~config ~views ~jobs layout plan in
               (* a second run serves any Materialize from the store *)
               let again = Exec.run ~config ~views ~jobs layout plan in
+              let analyzed views =
+                let got, stats = Exec.run_analyzed ~config ?views ~jobs layout plan in
+                rows_bag got = ref_bag
+                && stats.Exec.actual_rows = Relation.cardinality got
+                && opened_inputs_only stats
+              in
+              let aviews = Some (Exec.fresh_view_store ()) in
               got.Relation.cols = reference.Relation.cols
               && rows_bag got = ref_bag
               && rows_bag again = ref_bag
-              && Exec.answers ~config ~jobs layout plan = ref_answers)
+              && Exec.answers ~config ~jobs layout plan = ref_answers
+              && analyzed None
+              && analyzed aviews
+              && analyzed aviews)
             [
               Exec.postgres_like, 1;
               Exec.db2_like, 1;

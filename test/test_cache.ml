@@ -63,6 +63,44 @@ let test_cost_bound () =
   Alcotest.(check (option int)) "oversized not admitted" None (find_int c "huge");
   check_int "no collateral eviction" before (Cache.Lru.length c)
 
+(* Single flight: a lookup that arrives while another domain computes
+   the same key waits for that result, so the computation runs once
+   and the late caller counts as a hit. *)
+let test_find_or_compute_single_flight () =
+  let c = Cache.Lru.create ~name:"t.flight" ~capacity:4 () in
+  let computed = Atomic.make 0 in
+  let started = Atomic.make false and release = Atomic.make false in
+  let compute () =
+    Atomic.incr computed;
+    Atomic.set started true;
+    while not (Atomic.get release) do
+      Domain.cpu_relax ()
+    done;
+    42
+  in
+  let first = Domain.spawn (fun () -> Cache.Lru.find_or_compute c "k" compute) in
+  while not (Atomic.get started) do
+    Domain.cpu_relax ()
+  done;
+  let second = Domain.spawn (fun () -> Cache.Lru.find_or_compute c "k" compute) in
+  Thread.delay 0.02;
+  Atomic.set release true;
+  let v1, hit1 = Domain.join first in
+  let v2, hit2 = Domain.join second in
+  check_int "computed once" 1 (Atomic.get computed);
+  check_int "both see the value" v1 v2;
+  check_bool "first caller computes" false hit1;
+  check_bool "second caller waits and hits" true hit2;
+  let s = Cache.Lru.stats c in
+  check_int "one miss" 1 s.Cache.Lru.misses;
+  check_int "one hit" 1 s.Cache.Lru.hits;
+  (* a failed computation settles its key unpublished *)
+  (match Cache.Lru.find_or_compute c "boom" (fun () -> failwith "boom") with
+  | _ -> Alcotest.fail "exception swallowed"
+  | exception Failure _ -> ());
+  check_int "recomputed after a failure" 7
+    (fst (Cache.Lru.find_or_compute c "boom" (fun () -> 7)))
+
 let test_add_if_absent () =
   let c = Cache.Lru.create ~name:"t.race" ~capacity:4 () in
   check_int "stores on absent" 1 (Cache.Lru.add_if_absent c "k" 1);
@@ -150,3 +188,7 @@ let suite =
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_bounded_equals_unbounded; prop_version_never_stale ]
+  @ [
+      Alcotest.test_case "lru: find_or_compute is single-flight" `Quick
+        test_find_or_compute_single_flight;
+    ]

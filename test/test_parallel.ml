@@ -191,9 +191,9 @@ let test_parallel_runs_deterministic () =
 (* {1 Counter totals under parallelism} *)
 
 let test_counter_totals_stable () =
-  (* racing arms may shift cache hits into performed scans, but every
-     request bumps exactly one of the pair, so the totals are
-     invariant across job counts *)
+  (* every request bumps exactly one of the pair, and arms that miss
+     on the same signature together compute it once, so the totals
+     are invariant across job counts *)
   let tbox = Lubm.Ontology.tbox in
   let layout = Lazy.force lubm_layout in
   let e = Lubm.Workload.find "Q9" in

@@ -184,11 +184,21 @@ let test_verb_goldens () =
           check_int "answer rows" 1 (int_field r "rows");
           check_bool "answer content" true
             (field r "answers" = Wire.List [ Wire.List [ Wire.String "Damian" ] ]);
-          (* EXPLAIN *)
+          let answer_cqs = int_field r "cq_count" in
+          (* EXPLAIN shows the plan ANSWER ran: the same reformulation,
+             served from the plan-cache entry that ANSWER warmed *)
+          let before = Obda.plan_cache_stats () in
           let r =
             request c (Printf.sprintf "{\"op\":\"EXPLAIN\",\"id\":2,\"cq\":\"%s\"}" example_cq)
           in
+          let after = Obda.plan_cache_stats () in
           check_string "explain status" "OK" (status r);
+          check_int "explain cq_disjuncts = answer cq_count" answer_cqs
+            (int_field r "cq_disjuncts");
+          check_int "explain adds no plan-cache miss" before.Cache.Lru.misses
+            after.Cache.Lru.misses;
+          check_int "explain served from the plan cache" (before.Cache.Lru.hits + 1)
+            after.Cache.Lru.hits;
           check_bool "explain has plan tree" true
             (match field r "plan" with Wire.Obj _ -> true | _ -> false);
           (* UPDATE: a brand-new fact, then the same fact again *)

@@ -50,70 +50,57 @@ let write_metrics () =
   match !metrics_file with
   | None -> ()
   | Some file ->
-    let oc = open_out file in
-    output_string oc (Obs.Metrics.to_json ());
-    output_char oc '\n';
-    close_out oc;
+    Out_channel.with_open_text file (fun oc -> output_string oc (Obs.Metrics.to_json () ^ "\n"));
     Fmt.pr "[metrics] wrote the metrics registry to %s@." file
+
+module Json = Obs.Json
 
 let tbox = Lubm.Ontology.tbox
 
 (* {1 JSON emission}
 
-   Records accumulate as serialised objects and are written in one
+   Records accumulate as JSON values and are written in one
    piece at exit, so a crashed experiment loses the file rather than
    truncating it. *)
 
-let json_records : string list ref = ref []
+let json_records : Json.t list ref = ref []
 
 let record_json fields =
-  if !json_file <> None then
-    json_records :=
-      ("{" ^ String.concat "," (List.map (fun (k, v) -> Printf.sprintf "%S:%s" k v) fields)
-      ^ "}")
-      :: !json_records
+  if !json_file <> None then json_records := Json.Obj fields :: !json_records
 
 let json_cell ~exp ~query ~strategy ~cell_jobs ~search_ms ~cqs outcome =
   let tail =
     match outcome with
-    | Ok (ms, _) -> [ "eval_ms", Printf.sprintf "%.3f" ms ]
-    | Error e -> [ "error", Printf.sprintf "%S" e ]
+    | Ok (ms, _) -> [ "eval_ms", Json.Float ms ]
+    | Error e -> [ "error", Json.String e ]
   in
   record_json
-    ([ "exp", Printf.sprintf "%S" exp;
-       "query", Printf.sprintf "%S" query;
-       "strategy", Printf.sprintf "%S" strategy;
-       "jobs", string_of_int cell_jobs;
-       "search_ms", Printf.sprintf "%.3f" search_ms;
-       "cqs", string_of_int cqs ]
+    ([ "exp", Json.String exp;
+       "query", Json.String query;
+       "strategy", Json.String strategy;
+       "jobs", Json.Int cell_jobs;
+       "search_ms", Json.Float search_ms;
+       "cqs", Json.Int cqs ]
     @ tail)
 
 let write_json () =
   match !json_file with
   | None -> ()
   | Some file ->
-    let oc = open_out file in
-    Printf.fprintf oc
-      "{\n\
-      \  \"bench\": \"obda-cover-reformulation\",\n\
-      \  \"seed\": %d,\n\
-      \  \"small_facts\": %d,\n\
-      \  \"large_facts\": %d,\n\
-      \  \"jobs\": %d,\n\
-      \  \"recommended_jobs\": %d,\n\
-      \  \"host_cores\": %d,\n\
-      \  \"ocaml_version\": %S,\n\
-      \  \"word_size\": %d,\n\
-      \  \"records\": [\n\
-      \    %s\n\
-      \  ]\n\
-       }\n"
-      !seed !small_facts !large_facts !jobs
-      (Parallel.recommended_jobs ())
-      (Domain.recommended_domain_count ())
-      Sys.ocaml_version Sys.word_size
-      (String.concat ",\n    " (List.rev !json_records));
-    close_out oc;
+    let json =
+      Json.Obj
+        [ "bench", Json.String "obda-cover-reformulation";
+          "seed", Json.Int !seed;
+          "small_facts", Json.Int !small_facts;
+          "large_facts", Json.Int !large_facts;
+          "jobs", Json.Int !jobs;
+          "recommended_jobs", Json.Int (Parallel.recommended_jobs ());
+          "host_cores", Json.Int (Domain.recommended_domain_count ());
+          "ocaml_version", Json.String Sys.ocaml_version;
+          "word_size", Json.Int Sys.word_size;
+          "records", Json.List (List.rev !json_records) ]
+    in
+    Out_channel.with_open_text file (fun oc -> output_string oc (Json.to_string json ^ "\n"));
     Fmt.pr "[json] wrote %d records to %s@." (List.length !json_records) file
 
 (* {1 Dataset and engine caches} *)
@@ -528,14 +515,14 @@ let exp_calibration () =
       in
       let root_est = Rdbms.Explain.node_estimate profile layout stats.Rdbms.Exec.plan in
       record_json
-        [ "exp", "\"calibration\"";
-          "query", Printf.sprintf "%S" e.Lubm.Workload.name;
-          "est_rows", Printf.sprintf "%.1f" root_est.Rdbms.Explain.est_rows;
-          "actual_rows", string_of_int stats.Rdbms.Exec.actual_rows;
-          "q_error_root", Printf.sprintf "%.3f" (node_q stats);
-          "q_error_max", Printf.sprintf "%.3f" (max_q 1.0 stats);
-          "est_cost", Printf.sprintf "%.1f" root_est.Rdbms.Explain.total_cost;
-          "eval_ms", Printf.sprintf "%.3f" eval_ms ];
+        [ "exp", Json.String "calibration";
+          "query", Json.String e.Lubm.Workload.name;
+          "est_rows", Json.Float root_est.Rdbms.Explain.est_rows;
+          "actual_rows", Json.Int stats.Rdbms.Exec.actual_rows;
+          "q_error_root", Json.Float (node_q stats);
+          "q_error_max", Json.Float (max_q 1.0 stats);
+          "est_cost", Json.Float root_est.Rdbms.Explain.total_cost;
+          "eval_ms", Json.Float eval_ms ];
       Fmt.pr "%-4s %12.0f %12d %12.2f %12.2f %12.0f %10.2f@." e.Lubm.Workload.name
         root_est.Rdbms.Explain.est_rows stats.Rdbms.Exec.actual_rows (node_q stats)
         (max_q 1.0 stats) root_est.Rdbms.Explain.total_cost eval_ms)
@@ -604,11 +591,11 @@ let exp_replay () =
       if c <> [] then begin
         let mc = avg c and mw = avg w in
         record_json
-          [ "exp", "\"replay\"";
-            "query", Printf.sprintf "%S" e.Lubm.Workload.name;
-            "requests", string_of_int (List.length c);
-            "cold_ms", Printf.sprintf "%.3f" mc;
-            "warm_ms", Printf.sprintf "%.3f" mw ];
+          [ "exp", Json.String "replay";
+            "query", Json.String e.Lubm.Workload.name;
+            "requests", Json.Int (List.length c);
+            "cold_ms", Json.Float mc;
+            "warm_ms", Json.Float mw ];
         Fmt.pr "%-6s %8d %12.2f %12.2f %11.1fx@." e.Lubm.Workload.name
           (List.length c) mc mw (mc /. Float.max 0.001 mw)
       end)
@@ -616,17 +603,17 @@ let exp_replay () =
   let cold_total = sum cold and warm_total = sum warm in
   let warm_hits = hits warm in
   record_json
-    [ "exp", "\"replay\"";
-      "query", "\"TOTAL\"";
-      "requests", string_of_int (Array.length requests);
-      "plan_capacity", string_of_int plan_capacity;
-      "cold_ms", Printf.sprintf "%.3f" cold_total;
-      "warm_ms", Printf.sprintf "%.3f" warm_total;
-      "cold_plan_hits", string_of_int (hits cold);
-      "warm_plan_hits", string_of_int warm_hits;
-      "plan_cache_hit_total", string_of_int stats.Cache.Lru.hits;
-      "plan_cache_evictions", string_of_int stats.Cache.Lru.evictions;
-      "answers_identical", string_of_bool identical ];
+    [ "exp", Json.String "replay";
+      "query", Json.String "TOTAL";
+      "requests", Json.Int (Array.length requests);
+      "plan_capacity", Json.Int plan_capacity;
+      "cold_ms", Json.Float cold_total;
+      "warm_ms", Json.Float warm_total;
+      "cold_plan_hits", Json.Int (hits cold);
+      "warm_plan_hits", Json.Int warm_hits;
+      "plan_cache_hit_total", Json.Int stats.Cache.Lru.hits;
+      "plan_cache_evictions", Json.Int stats.Cache.Lru.evictions;
+      "answers_identical", Json.Bool identical ];
   Fmt.pr "@.cold pass  : %8.1f ms (%d/%d plan-cache hits)@." cold_total
     (hits cold) (Array.length requests);
   Fmt.pr "warm pass  : %8.1f ms (%d/%d plan-cache hits, %.1fx)@." warm_total
@@ -704,13 +691,13 @@ let exp_engine () =
           Hashtbl.replace totals sname
             (tr +. row_ms, tb +. batch_ms, wr +. row_w, wb +. batch_w);
           record_json
-            [ "exp", "\"engine\"";
-              "query", Printf.sprintf "%S" e.Lubm.Workload.name;
-              "strategy", Printf.sprintf "%S" sname;
-              "row_ms", Printf.sprintf "%.3f" row_ms;
-              "batch_ms", Printf.sprintf "%.3f" batch_ms;
-              "row_minor_words", Printf.sprintf "%.0f" row_w;
-              "batch_minor_words", Printf.sprintf "%.0f" batch_w ];
+            [ "exp", Json.String "engine";
+              "query", Json.String e.Lubm.Workload.name;
+              "strategy", Json.String sname;
+              "row_ms", Json.Float row_ms;
+              "batch_ms", Json.Float batch_ms;
+              "row_minor_words", Json.Float row_w;
+              "batch_minor_words", Json.Float batch_w ];
           Fmt.pr "%-10s %-4s %10.2f %10.2f %8.2fx %10.2f %10.2f %7.1fx@." sname
             e.Lubm.Workload.name row_ms batch_ms
             (row_ms /. Float.max 0.001 batch_ms)
@@ -724,15 +711,15 @@ let exp_engine () =
       match Hashtbl.find_opt totals sname with
       | Some (tr, tb, wr, wb) ->
         record_json
-          [ "exp", "\"engine\"";
-            "query", "\"TOTAL\"";
-            "strategy", Printf.sprintf "%S" sname;
-            "row_ms", Printf.sprintf "%.3f" tr;
-            "batch_ms", Printf.sprintf "%.3f" tb;
-            "speedup", Printf.sprintf "%.3f" (tr /. Float.max 0.001 tb);
-            "row_minor_words", Printf.sprintf "%.0f" wr;
-            "batch_minor_words", Printf.sprintf "%.0f" wb;
-            "alloc_ratio", Printf.sprintf "%.2f" (wr /. Float.max 1. wb) ];
+          [ "exp", Json.String "engine";
+            "query", Json.String "TOTAL";
+            "strategy", Json.String sname;
+            "row_ms", Json.Float tr;
+            "batch_ms", Json.Float tb;
+            "speedup", Json.Float (tr /. Float.max 0.001 tb);
+            "row_minor_words", Json.Float wr;
+            "batch_minor_words", Json.Float wb;
+            "alloc_ratio", Json.Float (wr /. Float.max 1. wb) ];
         Fmt.pr "  %-10s %10.1f ms -> %10.1f ms (%.2fx); minor words %.1fM -> %.1fM (%.1fx fewer)@."
           sname tr tb (tr /. Float.max 0.001 tb) (wr /. 1e6) (wb /. 1e6)
           (wr /. Float.max 1. wb)
@@ -818,15 +805,15 @@ let exp_sip () =
           Hashtbl.replace totals sname
             (toff +. off_ms, ton +. on_ms, tp + pruned, te + elided);
           record_json
-            [ "exp", "\"sip\"";
-              "query", Printf.sprintf "%S" e.Lubm.Workload.name;
-              "strategy", Printf.sprintf "%S" sname;
-              "off_ms", Printf.sprintf "%.3f" off_ms;
-              "on_ms", Printf.sprintf "%.3f" on_ms;
-              "speedup", Printf.sprintf "%.3f" speedup;
-              "sip_pruned", string_of_int pruned;
-              "sip_elided", string_of_int elided;
-              "sip_reducers", string_of_int reducers ];
+            [ "exp", Json.String "sip";
+              "query", Json.String e.Lubm.Workload.name;
+              "strategy", Json.String sname;
+              "off_ms", Json.Float off_ms;
+              "on_ms", Json.Float on_ms;
+              "speedup", Json.Float speedup;
+              "sip_pruned", Json.Int pruned;
+              "sip_elided", Json.Int elided;
+              "sip_reducers", Json.Int reducers ];
           Fmt.pr "%-8s %-4s %10.2f %10.2f %8.2fx %10d %7d %9d@." sname
             e.Lubm.Workload.name off_ms on_ms speedup pruned elided reducers)
         joiny)
@@ -837,22 +824,22 @@ let exp_sip () =
       match Hashtbl.find_opt totals sname with
       | Some (toff, ton, tp, te) ->
         record_json
-          [ "exp", "\"sip\"";
-            "query", "\"TOTAL\"";
-            "strategy", Printf.sprintf "%S" sname;
-            "off_ms", Printf.sprintf "%.3f" toff;
-            "on_ms", Printf.sprintf "%.3f" ton;
-            "speedup", Printf.sprintf "%.3f" (toff /. Float.max 0.001 ton);
-            "sip_pruned", string_of_int tp;
-            "sip_elided", string_of_int te ];
+          [ "exp", Json.String "sip";
+            "query", Json.String "TOTAL";
+            "strategy", Json.String sname;
+            "off_ms", Json.Float toff;
+            "on_ms", Json.Float ton;
+            "speedup", Json.Float (toff /. Float.max 0.001 ton);
+            "sip_pruned", Json.Int tp;
+            "sip_elided", Json.Int te ];
         Fmt.pr "  %-8s %10.1f ms -> %10.1f ms (%.2fx); pruned %d rows, elided %d arms@."
           sname toff ton (toff /. Float.max 0.001 ton) tp te
       | None -> ())
     strategies;
   record_json
-    [ "exp", "\"sip\"";
-      "query", "\"SUMMARY\"";
-      "pairs_at_1_3x", string_of_int !winners ];
+    [ "exp", Json.String "sip";
+      "query", Json.String "SUMMARY";
+      "pairs_at_1_3x", Json.Int !winners ];
   Fmt.pr "@.%d query/strategy pairs at >= 1.30x with identical answers@." !winners;
   if !winners < 2 then
     failwith "E16: fewer than two pairs reached the 1.3x reducer speedup"
@@ -926,18 +913,18 @@ let exp_storage () =
           scale file_bytes save_ms open_ms
           (float_of_int file_bytes /. float_of_int (max 1 stored));
         record_json
-          [ "exp", "\"storage\"";
-            "scale", Printf.sprintf "%S" scale;
-            "query", "\"LOAD\"";
-            "facts", string_of_int stored;
-            "segment_rows", string_of_int segment_rows;
-            "build_ms", Printf.sprintf "%.3f" build_ms;
-            "save_ms", Printf.sprintf "%.3f" save_ms;
-            "open_ms", Printf.sprintf "%.3f" open_ms;
-            "encoded_bytes", string_of_int enc;
-            "flat_bytes", string_of_int flat;
-            "file_bytes", string_of_int file_bytes;
-            "bytes_per_fact", Printf.sprintf "%.3f" bpf ];
+          [ "exp", Json.String "storage";
+            "scale", Json.String scale;
+            "query", Json.String "LOAD";
+            "facts", Json.Int stored;
+            "segment_rows", Json.Int segment_rows;
+            "build_ms", Json.Float build_ms;
+            "save_ms", Json.Float save_ms;
+            "open_ms", Json.Float open_ms;
+            "encoded_bytes", Json.Int enc;
+            "flat_bytes", Json.Int flat;
+            "file_bytes", Json.Int file_bytes;
+            "bytes_per_fact", Json.Float bpf ];
         (* selective scan: a reducer carrying one department's worth of
            contiguous dictionary codes — the shape a selective join
            binding takes — pushed into a segmented scan of the largest
@@ -997,16 +984,16 @@ let exp_storage () =
           in
           if frac > !best_skip then best_skip := frac;
           record_json
-            [ "exp", "\"storage\"";
-              "scale", Printf.sprintf "%S" scale;
-              "query", "\"SCAN\"";
-              "rows", string_of_int len;
-              "surviving_rows", string_of_int full_rows;
-              "full_ms", Printf.sprintf "%.3f" full_ms;
-              "pruned_ms", Printf.sprintf "%.3f" pruned_ms;
-              "segments_scanned", string_of_int (scanned / 3);
-              "segments_skipped", string_of_int (skipped / 3);
-              "skip_frac", Printf.sprintf "%.3f" frac ];
+            [ "exp", Json.String "storage";
+              "scale", Json.String scale;
+              "query", Json.String "SCAN";
+              "rows", Json.Int len;
+              "surviving_rows", Json.Int full_rows;
+              "full_ms", Json.Float full_ms;
+              "pruned_ms", Json.Float pruned_ms;
+              "segments_scanned", Json.Int (scanned / 3);
+              "segments_skipped", Json.Int (skipped / 3);
+              "skip_frac", Json.Float frac ];
           Fmt.pr
             "%s: selective scan of takesCourse (%d rows, %d survive): \
              %.3f ms full, %.3f ms zone-pruned (%.0f%% of segments skipped)@."
@@ -1054,23 +1041,23 @@ let exp_storage () =
             in
             if frac > !best_skip then best_skip := frac;
             record_json
-              [ "exp", "\"storage\"";
-                "scale", Printf.sprintf "%S" scale;
-                "query", Printf.sprintf "%S" qname;
-                "mem_ms", Printf.sprintf "%.3f" mem_ms;
-                "mmap_ms", Printf.sprintf "%.3f" map_ms;
-                "segments_scanned", string_of_int scanned;
-                "segments_skipped", string_of_int skipped;
-                "skip_frac", Printf.sprintf "%.3f" frac ];
+              [ "exp", Json.String "storage";
+                "scale", Json.String scale;
+                "query", Json.String qname;
+                "mem_ms", Json.Float mem_ms;
+                "mmap_ms", Json.Float map_ms;
+                "segments_scanned", Json.Int scanned;
+                "segments_skipped", Json.Int skipped;
+                "skip_frac", Json.Float frac ];
             Fmt.pr "%-6s %-4s %10.2f %10.2f %9d %9d %6.0f%%@." scale qname mem_ms
               map_ms scanned skipped (100. *. frac))
           Lubm.Workload.queries)
   in
   List.iter run_scale [ !small_facts; !large_facts ];
   record_json
-    [ "exp", "\"storage\"";
-      "query", "\"SUMMARY\"";
-      "best_skip_frac", Printf.sprintf "%.3f" !best_skip ];
+    [ "exp", Json.String "storage";
+      "query", Json.String "SUMMARY";
+      "best_skip_frac", Json.Float !best_skip ];
   Fmt.pr "@.best zone-map skip rate on a single query: %.0f%%@."
     (100. *. !best_skip);
   if !best_skip < 0.30 then
@@ -1188,22 +1175,22 @@ let exp_server () =
     if r.Server.Loadgen.r_errors > 0 then
       failwith (Printf.sprintf "E18 %s: %d protocol errors" name r.Server.Loadgen.r_errors);
     record_json
-      [ "exp", "\"server\"";
-        "point", Printf.sprintf "%S" name;
-        "mode", Printf.sprintf "%S" r.Server.Loadgen.r_mode;
-        "sessions", string_of_int r.Server.Loadgen.r_sessions;
-        "offered_qps", Printf.sprintf "%.1f" r.Server.Loadgen.offered_qps;
-        "achieved_qps", Printf.sprintf "%.1f" r.Server.Loadgen.achieved_qps;
-        "requests", string_of_int r.Server.Loadgen.requests;
-        "ok", string_of_int r.Server.Loadgen.r_ok;
-        "shed", string_of_int r.Server.Loadgen.r_shed;
-        "timeouts", string_of_int r.Server.Loadgen.r_timeouts;
-        "p50_ms", Printf.sprintf "%.3f" r.Server.Loadgen.p50_ms;
-        "p95_ms", Printf.sprintf "%.3f" r.Server.Loadgen.p95_ms;
-        "p99_ms", Printf.sprintf "%.3f" r.Server.Loadgen.p99_ms;
-        "hit_rate", Printf.sprintf "%.3f" r.Server.Loadgen.hit_rate;
-        "writer_updates", string_of_int r.Server.Loadgen.writer_updates;
-        "generation_end", string_of_int r.Server.Loadgen.generation_end ];
+      [ "exp", Json.String "server";
+        "point", Json.String name;
+        "mode", Json.String r.Server.Loadgen.r_mode;
+        "sessions", Json.Int r.Server.Loadgen.r_sessions;
+        "offered_qps", Json.Float r.Server.Loadgen.offered_qps;
+        "achieved_qps", Json.Float r.Server.Loadgen.achieved_qps;
+        "requests", Json.Int r.Server.Loadgen.requests;
+        "ok", Json.Int r.Server.Loadgen.r_ok;
+        "shed", Json.Int r.Server.Loadgen.r_shed;
+        "timeouts", Json.Int r.Server.Loadgen.r_timeouts;
+        "p50_ms", Json.Float r.Server.Loadgen.p50_ms;
+        "p95_ms", Json.Float r.Server.Loadgen.p95_ms;
+        "p99_ms", Json.Float r.Server.Loadgen.p99_ms;
+        "hit_rate", Json.Float r.Server.Loadgen.hit_rate;
+        "writer_updates", Json.Int r.Server.Loadgen.writer_updates;
+        "generation_end", Json.Int r.Server.Loadgen.generation_end ];
     Fmt.pr "%-10s %9.0f %9.0f %7d %6d %8.2f %8.2f %8.2f %8.3f@." name
       r.Server.Loadgen.offered_qps r.Server.Loadgen.achieved_qps
       r.Server.Loadgen.r_ok r.Server.Loadgen.r_shed r.Server.Loadgen.p50_ms
@@ -1320,15 +1307,15 @@ let exp_updates () =
     facts (mean delta_lat) (p95 delta_lat) (Array.length delta_lat)
     (mean rebuild_lat) speedup;
   record_json
-    [ "exp", "\"updates\"";
-      "part", "\"insert_latency\"";
-      "facts", string_of_int facts;
-      "delta_inserts", string_of_int (Array.length delta_lat);
-      "delta_mean_ms", Printf.sprintf "%.5f" (mean delta_lat);
-      "delta_p95_ms", Printf.sprintf "%.5f" (p95 delta_lat);
-      "rebuild_inserts", string_of_int (Array.length rebuild_lat);
-      "rebuild_mean_ms", Printf.sprintf "%.5f" (mean rebuild_lat);
-      "speedup", Printf.sprintf "%.1f" speedup ];
+    [ "exp", Json.String "updates";
+      "part", Json.String "insert_latency";
+      "facts", Json.Int facts;
+      "delta_inserts", Json.Int (Array.length delta_lat);
+      "delta_mean_ms", Json.Float (mean delta_lat);
+      "delta_p95_ms", Json.Float (p95 delta_lat);
+      "rebuild_inserts", Json.Int (Array.length rebuild_lat);
+      "rebuild_mean_ms", Json.Float (mean rebuild_lat);
+      "speedup", Json.Float speedup ];
   if facts >= 100_000 && speedup < 10. then
     failwith
       (Printf.sprintf "E19: delta insert speedup %.1fx below the 10x floor"
@@ -1418,18 +1405,18 @@ let exp_updates () =
              e.Lubm.Workload.name))
     entries;
   record_json
-    [ "exp", "\"updates\"";
-      "part", "\"writer_replay\"";
-      "facts", string_of_int !small_facts;
-      "requests", string_of_int (Array.length requests);
-      "writes", string_of_int writes;
-      "strategy", Printf.sprintf "%S" (Obda.strategy_name strategy);
-      "cold_p95_ms", Printf.sprintf "%.3f" (p95 (lat cold));
-      "warm_p95_ms", Printf.sprintf "%.3f" (p95 (lat warm));
-      "warm_plan_hit_rate", Printf.sprintf "%.3f" (hit_rate warm);
-      "views_before_writes", string_of_int views_before;
-      "views_after_writes", string_of_int views_after;
-      "answers_identical", "true" ];
+    [ "exp", Json.String "updates";
+      "part", Json.String "writer_replay";
+      "facts", Json.Int !small_facts;
+      "requests", Json.Int (Array.length requests);
+      "writes", Json.Int writes;
+      "strategy", Json.String (Obda.strategy_name strategy);
+      "cold_p95_ms", Json.Float (p95 (lat cold));
+      "warm_p95_ms", Json.Float (p95 (lat warm));
+      "warm_plan_hit_rate", Json.Float (hit_rate warm);
+      "views_before_writes", Json.Int views_before;
+      "views_after_writes", Json.Int views_after;
+      "answers_identical", Json.Bool true ];
   if hit_rate warm < 0.80 then
     failwith
       (Printf.sprintf "E19: warm plan hit rate %.3f below the 0.80 floor"
@@ -1538,16 +1525,16 @@ let exp_reform () =
           e.Lubm.Workload.name (Query.Ucq.size fast_u) naive_reform_ms
           naive_cover_ms fast_reform_ms fast_cover_ms warm_ms speedup identical;
         record_json
-          [ "exp", "\"reform\"";
-            "query", Printf.sprintf "%S" e.Lubm.Workload.name;
-            "cqs", string_of_int (Query.Ucq.size fast_u);
-            "naive_reform_ms", Printf.sprintf "%.4f" naive_reform_ms;
-            "naive_cover_ms", Printf.sprintf "%.4f" naive_cover_ms;
-            "fast_reform_ms", Printf.sprintf "%.4f" fast_reform_ms;
-            "fast_cover_ms", Printf.sprintf "%.4f" fast_cover_ms;
-            "warm_ms", Printf.sprintf "%.4f" warm_ms;
-            "speedup", Printf.sprintf "%.2f" speedup;
-            "identical", string_of_bool identical ];
+          [ "exp", Json.String "reform";
+            "query", Json.String e.Lubm.Workload.name;
+            "cqs", Json.Int (Query.Ucq.size fast_u);
+            "naive_reform_ms", Json.Float naive_reform_ms;
+            "naive_cover_ms", Json.Float naive_cover_ms;
+            "fast_reform_ms", Json.Float fast_reform_ms;
+            "fast_cover_ms", Json.Float fast_cover_ms;
+            "warm_ms", Json.Float warm_ms;
+            "speedup", Json.Float speedup;
+            "identical", Json.Bool identical ];
         if not identical then
           failwith
             (Printf.sprintf "E20: %s fast path diverged from the naive oracle"
@@ -1722,33 +1709,33 @@ let exp_feedback () =
       if ans0 <> ans1 then incr divergent;
       let nreq = Array.fold_left (fun a i -> if i = qi then a + 1 else a) 0 requests in
       record_json
-        [ "exp", "\"feedback\"";
-          "query", Printf.sprintf "%S" e.Lubm.Workload.name;
-          "requests", string_of_int nreq;
-          "qerr_off", Printf.sprintf "%.3f" pq_off.(qi);
-          "qerr_on", Printf.sprintf "%.3f" pq_on.(qi);
-          "cover_changed", string_of_bool flipped;
-          "off_ms", Printf.sprintf "%.3f" ms0;
-          "on_ms", Printf.sprintf "%.3f" ms1;
-          "answers_identical", string_of_bool (ans0 = ans1) ];
+        [ "exp", Json.String "feedback";
+          "query", Json.String e.Lubm.Workload.name;
+          "requests", Json.Int nreq;
+          "qerr_off", Json.Float pq_off.(qi);
+          "qerr_on", Json.Float pq_on.(qi);
+          "cover_changed", Json.Bool flipped;
+          "off_ms", Json.Float ms0;
+          "on_ms", Json.Float ms1;
+          "answers_identical", Json.Bool (ans0 = ans1) ];
       Fmt.pr "%-6s %8d %12.2f %12.2f %8s %12.2f %12.2f@." e.Lubm.Workload.name
         nreq pq_off.(qi) pq_on.(qi)
         (if flipped then "flip" else "same")
         ms0 ms1)
     entries;
   record_json
-    [ "exp", "\"feedback\"";
-      "query", "\"TOTAL\"";
-      "requests", string_of_int (Array.length requests);
-      "qerr_geomean_off", Printf.sprintf "%.3f" g_off;
-      "qerr_geomean_on", Printf.sprintf "%.3f" g_on;
-      "cover_flips", string_of_int !flips;
-      "cover_flips_cheaper", string_of_int !flips_cheaper;
-      "plan_reranks", string_of_int reranks;
-      "fb_keys", string_of_int fb_stats.Cost.Feedback.keys;
-      "fb_ready", string_of_int fb_stats.Cost.Feedback.ready;
-      "fb_observations", string_of_int fb_stats.Cost.Feedback.observations;
-      "answers_identical", string_of_bool (!divergent = 0) ];
+    [ "exp", Json.String "feedback";
+      "query", Json.String "TOTAL";
+      "requests", Json.Int (Array.length requests);
+      "qerr_geomean_off", Json.Float g_off;
+      "qerr_geomean_on", Json.Float g_on;
+      "cover_flips", Json.Int !flips;
+      "cover_flips_cheaper", Json.Int !flips_cheaper;
+      "plan_reranks", Json.Int reranks;
+      "fb_keys", Json.Int fb_stats.Cost.Feedback.keys;
+      "fb_ready", Json.Int fb_stats.Cost.Feedback.ready;
+      "fb_observations", Json.Int fb_stats.Cost.Feedback.observations;
+      "answers_identical", Json.Bool (!divergent = 0) ];
   Fmt.pr "@.q-error geomean : %.2f (static) -> %.2f (corrected)@." g_off g_on;
   Fmt.pr "cover flips     : %d (%d measurably cheaper)@." !flips !flips_cheaper;
   Fmt.pr "drift re-ranks  : %d@." reranks;
@@ -1859,8 +1846,8 @@ let () =
       let te = Unix.gettimeofday () in
       f ();
       record_json
-        [ "exp", Printf.sprintf "%S" name;
-          "total_ms", Printf.sprintf "%.3f" ((Unix.gettimeofday () -. te) *. 1000.) ])
+        [ "exp", Json.String name;
+          "total_ms", Json.Float ((Unix.gettimeofday () -. te) *. 1000.) ])
     to_run;
   if !with_bechamel then bechamel_suite ();
   write_json ();

@@ -34,18 +34,7 @@ let layout_arg =
   Arg.(value & opt (enum layouts) `Simple & info [ "layout" ] ~docv:"LAYOUT" ~doc:"Storage layout: $(b,simple) or $(b,rdf).")
 
 let strategy_arg =
-  let strategies =
-    [
-      "ucq", Obda.Ucq;
-      "uscq", Obda.Uscq;
-      "croot", Obda.Croot;
-      "gdl-rdbms", Obda.Gdl Obda.Rdbms_cost;
-      "gdl-ext", Obda.Gdl Obda.Ext_cost;
-      "gdl20ms-ext", Obda.Gdl_limited (Obda.Ext_cost, 0.02);
-      "edl-ext", Obda.Edl Obda.Ext_cost;
-    ]
-  in
-  Arg.(value & opt (enum strategies) (Obda.Gdl Obda.Ext_cost)
+  Arg.(value & opt (enum Obda.strategies) (Obda.Gdl Obda.Ext_cost)
        & info [ "strategy"; "s" ] ~docv:"STRATEGY"
            ~doc:"Reformulation strategy: ucq, uscq, croot, gdl-rdbms, gdl-ext, gdl20ms-ext or edl-ext.")
 
@@ -274,10 +263,7 @@ let write_metrics = function
   | None -> ()
   | Some "-" -> print_string (Obs.Metrics.to_text ())
   | Some file ->
-    let oc = open_out file in
-    output_string oc (Obs.Metrics.to_json ());
-    output_char oc '\n';
-    close_out oc
+    Out_channel.with_open_text file (fun oc -> output_string oc (Obs.Metrics.to_json () ^ "\n"))
 
 let warm_arg =
   Arg.(value & flag
@@ -389,63 +375,49 @@ let explain_cmd =
     apply_feedback engine feedback;
     let fb = Obda.feedback_store engine in
     let q = find_query ~inline qname in
-    let profile = Obda.profile engine and lay = Obda.layout engine in
-    (* ANSWER's own pipeline, plan cache and SIP annotations included:
-       the plan shown is the plan that runs. [show json] renders it. *)
-    let explain () =
-      if analyze then
-        let a = Obda.analyze engine tbox strategy q in
-        let show json =
-          Option.fold ~none:"null" a.Obda.a_stats ~some:(fun s ->
-              if json then Rdbms.Explain.render_analyze_json profile lay s
-              else "\n== explain analyze ==\n" ^ Rdbms.Explain.render_analyze profile lay s)
-        in
-        let o = a.Obda.a_outcome in
-        { o with Obda.answers = Result.map (fun _ -> show) o.Obda.answers }
-      else
-        let o = Obda.explain engine tbox strategy q in
-        let show plan json =
-          if json then Rdbms.Explain.render_json profile lay plan
-          else if show_plan then
-            "\n== physical plan ==\n" ^ Rdbms.Explain.render profile lay plan
-          else ""
-        in
-        { o with Obda.answers = Result.map show o.Obda.answers }
-    in
-    let o, events = if trace then Obs.Trace.record explain else explain (), [] in
-    let fol = o.Obda.reformulation in
+    let traced f = if trace then Obs.Trace.record f else f (), [] in
     let est = Obda.estimator engine Obda.Rdbms_cost in
     let ext = Obda.estimator engine Obda.Ext_cost in
-    let dialect =
-      if Query.Fol.is_ucq fol then "UCQ"
-      else if Query.Fol.is_jucq fol then "JUCQ"
-      else if Query.Fol.is_juscq fol then "JUSCQ"
-      else "FOL"
-    in
+    (* ANSWER's own pipeline, plan cache and SIP annotations included:
+       the plan shown is the plan that runs. *)
     match format with
     | `Json ->
-      let plan_json =
-        match o.Obda.answers with
-        | Ok show -> show true
-        | Error e ->
-          Fmt.epr "engine error: %s@." e;
-          "null"
+      let o, events = traced (fun () -> Obda.explain_json engine tbox strategy ~analyze q) in
+      let fol = o.Obda.reformulation in
+      Result.iter_error (Fmt.epr "engine error: %s@.") o.Obda.answers;
+      let json =
+        Obs.Json.Obj
+          ((("query", Obs.Json.String (Fmt.str "%a" Query.Cq.pp q))
+            :: Obda.explain_fields ~analyze o)
+          @ [ "rdbms_cost", Obs.Json.Float (est.Optimizer.Estimator.estimate fol);
+              "ext_cost", Obs.Json.Float (ext.Optimizer.Estimator.estimate ?feedback:fb fol);
+              "trace", Obs.Json.List (List.map Obs.Trace.event_to_json events) ])
       in
-      Fmt.pr
-        "{\"query\":%S,\"strategy\":%S,\"dialect\":%S,\"cq_disjuncts\":%d,\
-         \"join_width\":%d,\"rdbms_cost\":%.1f,\"ext_cost\":%.1f,\"sql_bytes\":%d,\
-         \"analyze\":%b,\"plan\":%s,\"trace\":[%s]}@."
-        (Fmt.str "%a" Query.Cq.pp q)
-        (Obda.strategy_name strategy) dialect (Query.Fol.cq_count fol)
-        (Query.Fol.join_width fol)
-        (est.Optimizer.Estimator.estimate fol)
-        (ext.Optimizer.Estimator.estimate ?feedback:fb fol)
-        o.Obda.sql_bytes analyze plan_json
-        (String.concat "," (List.map Obs.Trace.event_to_json events))
+      Fmt.pr "%s@." (Obs.Json.to_string json)
     | `Text ->
+      let profile = Obda.profile engine and lay = Obda.layout engine in
+      let explain () =
+        if analyze then
+          let a = Obda.analyze engine tbox strategy q in
+          let shown =
+            Option.fold ~none:"" a.Obda.a_stats ~some:(fun s ->
+                "\n== explain analyze ==\n" ^ Rdbms.Explain.render_analyze profile lay s)
+          in
+          let o = a.Obda.a_outcome in
+          { o with Obda.answers = Result.map (fun _ -> shown) o.Obda.answers }
+        else
+          let o = Obda.explain engine tbox strategy q in
+          let show plan =
+            if show_plan then "\n== physical plan ==\n" ^ Rdbms.Explain.render profile lay plan
+            else ""
+          in
+          { o with Obda.answers = Result.map show o.Obda.answers }
+      in
+      let o, events = traced explain in
+      let fol = o.Obda.reformulation in
       Fmt.pr "query        : %a@." Query.Cq.pp q;
       Fmt.pr "strategy     : %s@." (Obda.strategy_name strategy);
-      Fmt.pr "dialect      : %s@." dialect;
+      Fmt.pr "dialect      : %s@." (Query.Fol.dialect fol);
       Fmt.pr "cq disjuncts : %d@." (Query.Fol.cq_count fol);
       Fmt.pr "join width   : %d@." (Query.Fol.join_width fol);
       Fmt.pr "rdbms cost   : %.0f@." (est.Optimizer.Estimator.estimate fol);
@@ -488,7 +460,7 @@ let explain_cmd =
          | None -> Fmt.pr "%-32s (store detached)@." "feedback.epoch")
       end;
       (match o.Obda.answers with
-       | Ok show -> Fmt.pr "%s%!" (show false)
+       | Ok shown -> Fmt.pr "%s%!" shown
        | Error e -> Fmt.pr "@.engine error: %s@." e);
       if show_datalog then
         Fmt.pr "@.== datalog program (%d rules) ==@.%s@."

@@ -66,7 +66,10 @@ let watch_metrics host port period =
   Sys.set_signal Sys.sigint (Sys.Signal_handle (fun _ -> stop := true));
   (try
      while not !stop do
-       output_string oc "{\"op\":\"METRICS\",\"scope\":\"server\"}\n";
+       output_string oc
+         (Obs.Json.to_string
+            (Obs.Json.Obj [ "op", Obs.Json.String "METRICS"; "scope", Obs.Json.String "server" ]));
+       output_char oc '\n';
        flush oc;
        Fmt.pr "%s@." (input_line ic);
        Thread.delay period

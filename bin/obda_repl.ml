@@ -41,7 +41,7 @@ let help () =
   load data FILE                load an ABox file
   load rdf FILE                 load TBox+ABox from an RDF graph
   engine (pglite|db2lite) (simple|rdf)
-  strategy (ucq|uscq|croot|gdl-rdbms|gdl-ext|edl-ext)
+  strategy (ucq|uscq|croot|gdl-rdbms|gdl-ext|gdl20ms-ext|edl-ext)
   limit N                       print at most N answer rows
   stats                         knowledge-base summary
   consistent                    check T-consistency
@@ -187,14 +187,9 @@ let handle st line =
     Printf.printf "engine is now %s\n" (Obda.engine_name st.engine)
   | [ "strategy"; s ] ->
     st.strategy <-
-      (match s with
-      | "ucq" -> Obda.Ucq
-      | "uscq" -> Obda.Uscq
-      | "croot" -> Obda.Croot
-      | "gdl-rdbms" -> Obda.Gdl Obda.Rdbms_cost
-      | "gdl-ext" -> Obda.Gdl Obda.Ext_cost
-      | "edl-ext" -> Obda.Edl Obda.Ext_cost
-      | other -> failwith ("unknown strategy " ^ other));
+      (match List.assoc_opt s Obda.strategies with
+      | Some strategy -> strategy
+      | None -> failwith ("unknown strategy " ^ s));
     Printf.printf "strategy is now %s\n" (Obda.strategy_name st.strategy)
   | [ "limit"; n ] -> st.limit <- int_of_string n
   | [ "stats" ] ->

@@ -122,7 +122,7 @@ let serve_cmd =
       | Some s -> s
       | None ->
         Fmt.epr "obda-server: unknown strategy %s (one of %s)@." strategy
-          (String.concat ", " Server.Protocol.strategy_names);
+          (String.concat ", " (List.map fst Obda.strategies));
         exit 1
     in
     let tbox, engine =

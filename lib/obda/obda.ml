@@ -178,6 +178,15 @@ let strategy_name = function
     Printf.sprintf "gdl%.0fms/%s" (budget *. 1000.) (cost_source_name src)
   | Edl src -> "edl/" ^ cost_source_name src
 
+let strategies =
+  [ "ucq", Ucq;
+    "uscq", Uscq;
+    "croot", Croot;
+    "gdl-rdbms", Gdl Rdbms_cost;
+    "gdl-ext", Gdl Ext_cost;
+    "gdl20ms-ext", Gdl_limited (Ext_cost, 0.020);
+    "edl-ext", Edl Ext_cost ]
+
 type 'a run = {
   strategy : strategy;
   reformulation : Query.Fol.t;
@@ -401,3 +410,28 @@ let analyze e tbox strategy q =
     a_harvested = harvested;
     a_reranked = reranked;
   }
+
+(* --- EXPLAIN as JSON: one tree builder for the server and the CLI --- *)
+
+let explain_json e tbox strategy ~analyze:instrumented q =
+  if instrumented then
+    let a = analyze e tbox strategy q in
+    let tree =
+      Option.fold ~none:Obs.Json.Null
+        ~some:(Rdbms.Explain.render_analyze_json e.profile e.layout)
+        a.a_stats
+    in
+    { a.a_outcome with answers = Result.map (fun _ -> tree) a.a_outcome.answers }
+  else
+    let o = explain e tbox strategy q in
+    { o with answers = Result.map (Rdbms.Explain.render_json e.profile e.layout) o.answers }
+
+let explain_fields ~analyze (o : Obs.Json.t run) =
+  let fol = o.reformulation in
+  [ "strategy", Obs.Json.String (strategy_name o.strategy);
+    "dialect", Obs.Json.String (Query.Fol.dialect fol);
+    "cq_disjuncts", Obs.Json.Int o.cq_count;
+    "join_width", Obs.Json.Int (Query.Fol.join_width fol);
+    "sql_bytes", Obs.Json.Int o.sql_bytes;
+    "analyze", Obs.Json.Bool analyze;
+    "plan", Result.value ~default:Obs.Json.Null o.answers ]

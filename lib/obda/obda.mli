@@ -46,6 +46,11 @@ type strategy =
 
 val strategy_name : strategy -> string
 
+val strategies : (string * strategy) list
+(** The strategy vocabulary of the CLI, the REPL and the server:
+    [ucq], [uscq], [croot], [gdl-rdbms], [gdl-ext], [gdl20ms-ext]
+    (GDL stopped after 20 ms) and [edl-ext]. *)
+
 type 'a run = {
   strategy : strategy;
   reformulation : Query.Fol.t;
@@ -245,3 +250,19 @@ val analyze : engine -> Dllite.Tbox.t -> strategy -> Query.Cq.t -> analysis
     described above. This is the only path that trains the store
     (EXPLAIN ANALYZE in the CLI, the REPL and the server runs it);
     plain {!answer} never pays the instrumentation. *)
+
+(** {2 EXPLAIN as JSON}
+
+    The JSON that the server's EXPLAIN reply and
+    [obda_cli explain --format json] share. *)
+
+val explain_json :
+  engine -> Dllite.Tbox.t -> strategy -> analyze:bool -> Query.Cq.t -> Obs.Json.t run
+(** {!explain} ({!analyze} when [analyze]) with the plan rendered as
+    its JSON tree ({!Rdbms.Explain.render_json} /
+    {!Rdbms.Explain.render_analyze_json}). *)
+
+val explain_fields : analyze:bool -> Obs.Json.t run -> (string * Obs.Json.t) list
+(** The fields [strategy], [dialect], [cq_disjuncts], [join_width],
+    [sql_bytes], [analyze] and [plan] of an {!explain_json} run;
+    [plan] is [null] when the engine rejected the statement. *)

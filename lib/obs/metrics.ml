@@ -160,54 +160,35 @@ let sorted_instruments () =
   in
   List.sort (fun a b -> String.compare (name a) (name b)) all
 
-(* JSON floats: %.17g round-trips any double; normalise the values JSON
-   cannot represent. *)
-let json_float v =
-  if Float.is_nan v then "null"
-  else if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.1f" v
-  else Printf.sprintf "%.17g" v
-
-let json_string s = Printf.sprintf "%S" s
-
-let to_json () =
+let registry () =
+  let named name help rest =
+    Json.Obj (("name", Json.String name) :: ("help", Json.String help) :: rest)
+  in
   let counters, gauges, histograms =
     List.fold_left
       (fun (cs, gs, hs) -> function
-        | Counter c ->
-          ( Printf.sprintf "{\"name\":%s,\"help\":%s,\"value\":%d}"
-              (json_string c.c_name) (json_string c.c_help) (counter_value c)
-            :: cs,
-            gs, hs )
-        | Gauge g ->
-          ( cs,
-            Printf.sprintf "{\"name\":%s,\"help\":%s,\"value\":%s}"
-              (json_string g.g_name) (json_string g.g_help)
-              (json_float (gauge_value g))
-            :: gs,
-            hs )
+        | Counter c -> named c.c_name c.c_help [ "value", Json.Int (counter_value c) ] :: cs, gs, hs
+        | Gauge g -> cs, named g.g_name g.g_help [ "value", Json.Float (gauge_value g) ] :: gs, hs
         | Histogram h ->
-          let buckets =
-            List.map
-              (fun (le, n) ->
-                let le_j =
-                  if le = infinity then "\"+inf\"" else json_float le
-                in
-                Printf.sprintf "{\"le\":%s,\"count\":%d}" le_j n)
-              (histogram_buckets h)
+          let bucket (le, n) =
+            Json.Obj
+              [ "le", (if le = infinity then Json.String "+inf" else Json.Float le);
+                "count", Json.Int n ]
           in
           ( cs, gs,
-            Printf.sprintf
-              "{\"name\":%s,\"help\":%s,\"count\":%d,\"sum\":%s,\"buckets\":[%s]}"
-              (json_string h.h_name) (json_string h.h_help) (histogram_count h)
-              (json_float (histogram_sum h))
-              (String.concat "," buckets)
+            named h.h_name h.h_help
+              [ "count", Json.Int (histogram_count h);
+                "sum", Json.Float (histogram_sum h);
+                "buckets", Json.List (List.map bucket (histogram_buckets h)) ]
             :: hs ))
       ([], [], []) (sorted_instruments ())
   in
-  Printf.sprintf "{\"counters\":[%s],\"gauges\":[%s],\"histograms\":[%s]}"
-    (String.concat "," (List.rev counters))
-    (String.concat "," (List.rev gauges))
-    (String.concat "," (List.rev histograms))
+  Json.Obj
+    [ "counters", Json.List (List.rev counters);
+      "gauges", Json.List (List.rev gauges);
+      "histograms", Json.List (List.rev histograms) ]
+
+let to_json () = Json.to_string (registry ())
 
 (* An approximate quantile from the bucket counts: the upper bound of
    the bucket holding the q-th observation. *)

@@ -2,9 +2,10 @@
 
     Instruments record into named metrics of three kinds — monotonic
     {e counters}, last-value {e gauges} and fixed-bucket latency
-    {e histograms} — and the registry exports everything as JSON or a
-    one-screen text snapshot. All mutation is lock-free ([Atomic]),
-    so instruments are safe to bump from the {!Parallel} domain pool;
+    {e histograms} — and the registry exports everything as a
+    {!Json.t} value or a one-screen text snapshot. All mutation is
+    lock-free ([Atomic]), so instruments are safe to bump from the
+    {!Parallel} domain pool;
     registration (first lookup of a name) takes a mutex but sites
     obtain their instruments once, at module initialisation.
 
@@ -81,15 +82,17 @@ val find_counter : string -> counter option
 
 (** {2 Export} *)
 
-val to_json : unit -> string
+val registry : unit -> Json.t
 (** The whole registry as one JSON object:
     [{"counters": [{"name","help","value"}...],
       "gauges": [...],
       "histograms": [{"name","help","count","sum","buckets":
         [{"le","count"}...]}...]}]
     Metrics are sorted by name; [le] of the overflow bucket is the
-    string ["+inf"]; floats are printed with enough digits to
-    round-trip. *)
+    string ["+inf"]; non-finite gauge values are [null]. *)
+
+val to_json : unit -> string
+(** {!registry} printed by {!Json.to_string}. *)
 
 val to_text : unit -> string
 (** A one-screen plain-text snapshot: one line per counter and gauge,

@@ -65,8 +65,10 @@ let pp_event ppf e =
     e.label
 
 let event_to_json e =
-  Printf.sprintf
-    "{\"seq\":%d,\"source\":%S,\"step\":%d,\"verdict\":%S,\"cost\":%s,\"label\":%S}"
-    e.seq e.source e.step (verdict_name e.verdict)
-    (if Float.is_nan e.cost then "null" else Printf.sprintf "%.17g" e.cost)
-    e.label
+  Json.Obj
+    [ "seq", Json.Int e.seq;
+      "source", Json.String e.source;
+      "step", Json.Int e.step;
+      "verdict", Json.String (verdict_name e.verdict);
+      "cost", Json.Float e.cost;
+      "label", Json.String e.label ]

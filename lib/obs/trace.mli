@@ -48,5 +48,6 @@ val verdict_name : verdict -> string
 val pp_event : Format.formatter -> event -> unit
 (** One line: [#seq source/step verdict cost label]. *)
 
-val event_to_json : event -> string
-(** One flat JSON object with the five fields. *)
+val event_to_json : event -> Json.t
+(** One flat JSON object with the six fields ([cost] is [null] when
+    not applicable). *)

@@ -60,6 +60,10 @@ val is_uscq : t -> bool
 
 val is_juscq : t -> bool
 
+val dialect : t -> string
+(** The narrowest dialect the query is written in, as EXPLAIN reports
+    it: ["UCQ"], ["JUCQ"], ["JUSCQ"] or ["FOL"]. *)
+
 val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string

@@ -246,6 +246,16 @@ let rec node_op = function
 
 let shown_union_arms = 4
 
+let rec children_of = function
+  | Plan.Scan _ -> []
+  | Plan.Hash_join { left; right; _ } | Plan.Merge_join { left; right; _ } ->
+    [ left; right ]
+  | Plan.Index_join { left; _ } -> [ left ]
+  | Plan.Project { input; _ } -> [ input ]
+  | Plan.Distinct inner | Plan.Materialize inner -> [ inner ]
+  | Plan.Union { inputs; _ } -> inputs
+  | Plan.Sip { join; _ } -> children_of join
+
 let render profile layout plan =
   let buf = Buffer.create 1024 in
   let line depth text =
@@ -265,56 +275,38 @@ let render profile layout plan =
   let rec go depth p =
     line depth (with_cost p);
     match p with
-    | Plan.Scan _ -> ()
-    | Plan.Hash_join { left; right; _ } | Plan.Merge_join { left; right; _ } ->
-      go (depth + 1) left;
-      go (depth + 1) right
-    | Plan.Index_join { left; _ } -> go (depth + 1) left
-    | Plan.Project { input; _ } -> go (depth + 1) input
-    | Plan.Distinct inner | Plan.Materialize inner -> go (depth + 1) inner
     | Plan.Union { inputs; _ } ->
       List.iteri (fun i arm -> if i < shown_union_arms then go (depth + 1) arm) inputs;
       if List.length inputs > shown_union_arms then
         line (depth + 1)
           (Printf.sprintf "... (%d more arms)" (List.length inputs - shown_union_arms))
-    | Plan.Sip { join; _ } ->
-      (* the annotated join already rendered (label + [sip] marker);
-         recurse into its operands only *)
-      (match join with
-      | Plan.Hash_join { left; right; _ } | Plan.Merge_join { left; right; _ } ->
-        go (depth + 1) left;
-        go (depth + 1) right
-      | Plan.Index_join { left; _ } -> go (depth + 1) left
-      | other -> go (depth + 1) other)
+    | _ ->
+      (* a [Sip] join already rendered (label + [sip] marker): its
+         children are the join's operands *)
+      List.iter (go (depth + 1)) (children_of p)
   in
   go 0 plan;
   Buffer.contents buf
 
-let json_escape = Printf.sprintf "%S"
-
-let rec render_json_node profile layout p =
+(* The one node builder of both JSON trees: an ANALYZE node is the plan
+   node plus the [actuals] fields computed from its estimate. *)
+let json_node profile layout p ~actuals children =
   let e = node_estimate profile layout p in
-  let rec children_of = function
-    | Plan.Scan _ -> []
-    | Plan.Hash_join { left; right; _ } | Plan.Merge_join { left; right; _ } ->
-      [ left; right ]
-    | Plan.Index_join { left; _ } -> [ left ]
-    | Plan.Project { input; _ } -> [ input ]
-    | Plan.Distinct inner | Plan.Materialize inner -> [ inner ]
-    | Plan.Union { inputs; _ } -> inputs
-    | Plan.Sip { join; _ } -> children_of join
-  in
-  let children = children_of p in
-  Printf.sprintf
-    "{\"op\":%s,\"label\":%s,\"est_cost\":%.1f,\"est_rows\":%.1f,\"children\":[%s]}"
-    (json_escape (node_op p))
-    (json_escape (node_label p))
-    e.total_cost e.est_rows
-    (String.concat "," (List.map (render_json_node profile layout) children))
+  Obs.Json.Obj
+    ([ "op", Obs.Json.String (node_op p);
+       "label", Obs.Json.String (node_label p);
+       "est_cost", Obs.Json.Float e.total_cost;
+       "est_rows", Obs.Json.Float e.est_rows ]
+    @ actuals e
+    @ [ "children", Obs.Json.List children ])
 
-let render_json profile layout plan = render_json_node profile layout plan
+let rec render_json profile layout p =
+  json_node profile layout p ~actuals:(fun _ -> [])
+    (List.map (render_json profile layout) (children_of p))
 
 (* {2 EXPLAIN ANALYZE rendering: estimates vs actuals} *)
+
+let cache_name = function Exec.Uncached -> "none" | Exec.Hit -> "hit" | Exec.Miss -> "miss"
 
 let cache_note stats =
   let rec subject = function
@@ -324,11 +316,8 @@ let cache_note stats =
     | Plan.Sip { join; _ } -> subject join
     | _ -> "cache"
   in
-  let subject = subject stats.Exec.plan in
-  match stats.Exec.cache with
-  | Exec.Uncached -> ""
-  | Exec.Hit -> Printf.sprintf ", %s hit" subject
-  | Exec.Miss -> Printf.sprintf ", %s miss" subject
+  if stats.Exec.cache = Exec.Uncached then ""
+  else Printf.sprintf ", %s %s" (subject stats.Exec.plan) (cache_name stats.Exec.cache)
 
 (* Sideways-passing actuals, shown only when the node did something —
    plans without [Sip] annotations render byte-identically to before
@@ -349,12 +338,6 @@ let sip_note (s : Exec.node_stats) =
   match parts with
   | [] -> ""
   | _ -> ", sip: " ^ String.concat " " parts
-
-let cache_json stats =
-  match stats.Exec.cache with
-  | Exec.Uncached -> "\"none\""
-  | Exec.Hit -> "\"hit\""
-  | Exec.Miss -> "\"miss\""
 
 let render_analyze profile layout stats =
   let buf = Buffer.create 2048 in
@@ -389,27 +372,19 @@ let render_analyze profile layout stats =
   go 0 stats;
   Buffer.contents buf
 
-let sip_json (s : Exec.node_stats) =
-  (match s.Exec.sip_reducer with
-  | Some k -> Printf.sprintf ",\"sip_reducer\":%s" (json_escape k)
-  | None -> "")
-  ^ (if s.Exec.sip_pruned > 0 then
-       Printf.sprintf ",\"sip_pruned\":%d" s.Exec.sip_pruned
-     else "")
-  ^
-  if s.Exec.sip_elided > 0 then
-    Printf.sprintf ",\"sip_elided\":%d" s.Exec.sip_elided
-  else ""
-
 let rec render_analyze_json profile layout (s : Exec.node_stats) =
-  let e = node_estimate profile layout s.Exec.plan in
-  Printf.sprintf
-    "{\"op\":%s,\"label\":%s,\"est_cost\":%.1f,\"est_rows\":%.1f,\"actual_rows\":%d,\
-     \"time_ms\":%.6f,\"q_error\":%.3f,\"cache\":%s%s,\"children\":[%s]}"
-    (json_escape (node_op s.Exec.plan))
-    (json_escape (node_label s.Exec.plan))
-    e.total_cost e.est_rows s.Exec.actual_rows
-    (Obs.Mclock.ns_to_ms s.Exec.elapsed_ns)
-    (q_error ~est:e.est_rows ~actual:s.Exec.actual_rows)
-    (cache_json s) (sip_json s)
-    (String.concat "," (List.map (render_analyze_json profile layout) s.Exec.children))
+  let actuals e =
+    [ "actual_rows", Obs.Json.Int s.Exec.actual_rows;
+      "time_ms", Obs.Json.Float (Obs.Mclock.ns_to_ms s.Exec.elapsed_ns);
+      "q_error", Obs.Json.Float (q_error ~est:e.est_rows ~actual:s.Exec.actual_rows);
+      "cache", Obs.Json.String (cache_name s.Exec.cache) ]
+    @ (match s.Exec.sip_reducer with
+      | Some k -> [ "sip_reducer", Obs.Json.String k ]
+      | None -> [])
+    @ (if s.Exec.sip_pruned > 0 then [ "sip_pruned", Obs.Json.Int s.Exec.sip_pruned ]
+       else [])
+    @ if s.Exec.sip_elided > 0 then [ "sip_elided", Obs.Json.Int s.Exec.sip_elided ]
+      else []
+  in
+  json_node profile layout s.Exec.plan ~actuals
+    (List.map (render_analyze_json profile layout) s.Exec.children)

@@ -65,7 +65,7 @@ val render : profile -> Layout.t -> Plan.t -> string
     cumulative cost and output cardinality of every operator. Unions
     are elided after four arms. *)
 
-val render_json : profile -> Layout.t -> Plan.t -> string
+val render_json : profile -> Layout.t -> Plan.t -> Obs.Json.t
 (** {!render} as a JSON tree — one object per operator with [op],
     [label], [est_cost], [est_rows] and [children]; no union elision. *)
 
@@ -76,7 +76,8 @@ val render_analyze : profile -> Layout.t -> Exec.node_stats -> string
     per-operator cardinality {!q_error}. Unions are elided after four
     arms, with the remainder aggregated on one line. *)
 
-val render_analyze_json : profile -> Layout.t -> Exec.node_stats -> string
+val render_analyze_json : profile -> Layout.t -> Exec.node_stats -> Obs.Json.t
 (** {!render_analyze} as a JSON tree — adds [actual_rows], [time_ms],
     [q_error] and [cache] (["hit"], ["miss"] or ["none"]) to each
-    operator object; no union elision. *)
+    operator object, and [sip_reducer] / [sip_pruned] / [sip_elided]
+    where the node passed information sideways; no union elision. *)

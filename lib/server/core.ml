@@ -1,3 +1,5 @@
+module Json = Obs.Json
+
 type config = {
   host : string;
   port : int;
@@ -211,7 +213,7 @@ let resolve_strategy t = function
     | None ->
       Error
         (Printf.sprintf "unknown strategy %S (one of %s)" name
-           (String.concat ", " Protocol.strategy_names)))
+           (String.concat ", " (List.map fst Obda.strategies))))
 
 let enqueue t s ~id work =
   let job = { j_session = s; j_work = work; enq_ns = Obs.Mclock.now_ns () } in
@@ -237,27 +239,27 @@ let enqueue t s ~id work =
 let hello_reply t ~client =
   ignore client;
   Protocol.ok ~id:None
-    [ "server", Wire.String "obda-server";
-      "protocol", Wire.Int 1;
-      "engine", Wire.String (Obda.engine_name t.engine);
-      "generation", Wire.Int (Obda.generation t.engine);
-      "strategies", Wire.List (List.map (fun n -> Wire.String n) Protocol.strategy_names);
+    [ "server", Json.String "obda-server";
+      "protocol", Json.Int 1;
+      "engine", Json.String (Obda.engine_name t.engine);
+      "generation", Json.Int (Obda.generation t.engine);
+      "strategies", Json.List (List.map (fun (n, _) -> Json.String n) Obda.strategies);
       "queries",
-      Wire.List
-        (List.map (fun e -> Wire.String e.Lubm.Workload.name) Lubm.Workload.queries) ]
+      Json.List
+        (List.map (fun e -> Json.String e.Lubm.Workload.name) Lubm.Workload.queries) ]
 
 let metrics_reply t s ~id scope =
   match scope with
-  | Protocol.Scope_registry -> Protocol.ok ~id [ "registry", Wire.Raw (Obs.Metrics.to_json ()) ]
+  | Protocol.Scope_registry -> Protocol.ok ~id [ "registry", Obs.Metrics.registry () ]
   | Protocol.Scope_session ->
     Protocol.ok ~id
-      [ "scope", Wire.String "session";
-        "session", Wire.Int s.s_id;
-        "requests", Wire.Int (Atomic.get s.s_requests);
-        "ok", Wire.Int (Atomic.get s.s_ok);
-        "errors", Wire.Int (Atomic.get s.s_errors);
-        "shed", Wire.Int (Atomic.get s.s_shed);
-        "timeouts", Wire.Int (Atomic.get s.s_timeouts) ]
+      [ "scope", Json.String "session";
+        "session", Json.Int s.s_id;
+        "requests", Json.Int (Atomic.get s.s_requests);
+        "ok", Json.Int (Atomic.get s.s_ok);
+        "errors", Json.Int (Atomic.get s.s_errors);
+        "shed", Json.Int (Atomic.get s.s_shed);
+        "timeouts", Json.Int (Atomic.get s.s_timeouts) ]
   | Protocol.Scope_server ->
     let st =
       locked t.state (fun () ->
@@ -271,17 +273,17 @@ let metrics_reply t s ~id scope =
     in
     let queued = locked t.q_lock (fun () -> Queue.length t.q) in
     Protocol.ok ~id
-      [ "scope", Wire.String "server";
-        "accepted_sessions", Wire.Int st.accepted_sessions;
-        "active_sessions", Wire.Int st.active_sessions;
-        "completed", Wire.Int st.completed;
-        "ok", Wire.Int st.ok;
-        "shed", Wire.Int st.shed;
-        "timeouts", Wire.Int st.timeouts;
-        "protocol_errors", Wire.Int st.protocol_errors;
-        "queued", Wire.Int queued;
-        "queue_depth", Wire.Int t.cfg.queue_depth;
-        "generation", Wire.Int (Obda.generation t.engine) ]
+      [ "scope", Json.String "server";
+        "accepted_sessions", Json.Int st.accepted_sessions;
+        "active_sessions", Json.Int st.active_sessions;
+        "completed", Json.Int st.completed;
+        "ok", Json.Int st.ok;
+        "shed", Json.Int st.shed;
+        "timeouts", Json.Int st.timeouts;
+        "protocol_errors", Json.Int st.protocol_errors;
+        "queued", Json.Int queued;
+        "queue_depth", Json.Int t.cfg.queue_depth;
+        "generation", Json.Int (Obda.generation t.engine) ]
 
 (* one counter per distinct body predicate of an answered query *)
 let count_predicates cq =
@@ -319,64 +321,35 @@ let run_answer t s ~id ~cq ~strategy ~deadline_ms ~limit ~enq_ns =
     Atomic.incr s.s_ok;
     send s
       (Protocol.ok ~id
-         [ "strategy", Wire.String (Obda.strategy_name strategy);
-           "generation", Wire.Int !generation;
-           "plan_cached", Wire.Bool outcome.Obda.plan_cached;
-           "cq_count", Wire.Int outcome.Obda.cq_count;
-           "search_ms", Wire.Float (1000. *. outcome.Obda.search_time);
-           "eval_ms", Wire.Float (1000. *. outcome.Obda.eval_time);
-           "latency_ms", Wire.Float latency_ms;
+         [ "strategy", Json.String (Obda.strategy_name strategy);
+           "generation", Json.Int !generation;
+           "plan_cached", Json.Bool outcome.Obda.plan_cached;
+           "cq_count", Json.Int outcome.Obda.cq_count;
+           "search_ms", Json.Float (1000. *. outcome.Obda.search_time);
+           "eval_ms", Json.Float (1000. *. outcome.Obda.eval_time);
+           "latency_ms", Json.Float latency_ms;
            "deadline_ms",
-           (match deadline_ms with Some d -> Wire.Float d | None -> Wire.Null);
-           "rows", Wire.Int total;
-           "returned", Wire.Int returned;
-           "truncated", Wire.Bool (total > returned);
+           (match deadline_ms with Some d -> Json.Float d | None -> Json.Null);
+           "rows", Json.Int total;
+           "returned", Json.Int returned;
+           "truncated", Json.Bool (total > returned);
            "answers",
-           Wire.List
-             (List.map (fun row -> Wire.List (List.map (fun v -> Wire.String v) row)) shown)
+           Json.List
+             (List.map (fun row -> Json.List (List.map (fun v -> Json.String v) row)) shown)
          ])
 
 (* EXPLAIN runs ANSWER's pipeline up to the physical plan, so it shows
    the cached plan that ANSWER runs; EXPLAIN ANALYZE runs it through the
    instrumented executor ({!Obda.analyze}). *)
 let run_explain t s ~id ~cq ~strategy ~analyze =
-  let reply =
-    read_locked t.rw (fun () ->
-        let profile = Obda.profile t.engine and lay = Obda.layout t.engine in
-        let reply (o : _ Obda.run) plan_json =
-          let fol = o.Obda.reformulation in
-          let dialect =
-            if Query.Fol.is_ucq fol then "UCQ"
-            else if Query.Fol.is_jucq fol then "JUCQ"
-            else if Query.Fol.is_juscq fol then "JUSCQ"
-            else "FOL"
-          in
-          Result.map
-            (fun r ->
-              [ "strategy", Wire.String (Obda.strategy_name strategy);
-                "dialect", Wire.String dialect;
-                "cq_disjuncts", Wire.Int o.Obda.cq_count;
-                "join_width", Wire.Int (Query.Fol.join_width fol);
-                "sql_bytes", Wire.Int o.Obda.sql_bytes;
-                "analyze", Wire.Bool analyze;
-                "plan", Wire.Raw (plan_json r) ])
-            o.Obda.answers
-        in
-        if analyze then
-          let a = Obda.analyze t.engine t.tbox strategy cq in
-          reply a.Obda.a_outcome (fun _ ->
-              Option.fold ~none:"null"
-                ~some:(Rdbms.Explain.render_analyze_json profile lay)
-                a.Obda.a_stats)
-        else
-          reply (Obda.explain t.engine t.tbox strategy cq)
-            (Rdbms.Explain.render_json profile lay))
+  let o =
+    read_locked t.rw (fun () -> Obda.explain_json t.engine t.tbox strategy ~analyze cq)
   in
-  match reply with
-  | Ok fields ->
+  match o.Obda.answers with
+  | Ok _ ->
     job_done t ~ok:true;
     Atomic.incr s.s_ok;
-    send s (Protocol.ok ~id fields)
+    send s (Protocol.ok ~id (Obda.explain_fields ~analyze o))
   | Error e ->
     job_done t ~ok:false;
     Atomic.incr s.s_errors;
@@ -417,9 +390,9 @@ let run_update t s ~id ~inserts =
   Atomic.incr s.s_ok;
   send s
     (Protocol.ok ~id
-       [ "generation", Wire.Int generation;
-         "accepted", Wire.Int !accepted;
-         "duplicates", Wire.Int !duplicates ])
+       [ "generation", Json.Int generation;
+         "accepted", Json.Int !accepted;
+         "duplicates", Json.Int !duplicates ])
 
 let work_id = function
   | W_answer { id; _ } | W_explain { id; _ } | W_update { id; _ } -> id
@@ -520,7 +493,7 @@ let session_loop t s =
        if String.trim line <> "" then
          try handle_request t s line with
          | Exit ->
-           send s (Protocol.ok ~id:None [ "bye", Wire.Bool true ]);
+           send s (Protocol.ok ~id:None [ "bye", Json.Bool true ]);
            quit := true
          | (End_of_file | Sys_error _ | Unix.Unix_error _) as e -> raise e
          | e ->

@@ -1,3 +1,5 @@
+module Json = Obs.Json
+
 type mode = Closed | Open_loop of float
 
 type config = {
@@ -66,35 +68,37 @@ let send_line oc line =
   output_char oc '\n';
   flush oc
 
+let op_line op = Json.to_string (Json.Obj [ "op", Json.String op ])
+
 let answer_request ~id ~qname ~strategy ~deadline_ms ~limit =
   let fields =
-    [ "op", Wire.String "ANSWER";
-      "id", Wire.Int id;
-      "query", Wire.String qname;
-      "limit", Wire.Int limit ]
+    [ "op", Json.String "ANSWER";
+      "id", Json.Int id;
+      "query", Json.String qname;
+      "limit", Json.Int limit ]
   in
   let fields =
-    match strategy with Some s -> fields @ [ "strategy", Wire.String s ] | None -> fields
+    match strategy with Some s -> fields @ [ "strategy", Json.String s ] | None -> fields
   in
   let fields =
     match deadline_ms with
-    | Some d -> fields @ [ "deadline_ms", Wire.Float d ]
+    | Some d -> fields @ [ "deadline_ms", Json.Float d ]
     | None -> fields
   in
-  Wire.to_string (Wire.Obj fields)
+  Json.to_string (Json.Obj fields)
 
 type kind = K_ok of float * bool  (** latency ms, plan_cached *) | K_shed | K_timeout | K_error
 
 type sample = { s_measured : bool; s_kind : kind }
 
 let classify line =
-  match Wire.of_string line with
+  match Json.of_string line with
   | Error _ -> `Error
   | Ok j -> (
-    match Option.bind (Wire.member "status" j) Wire.to_string_opt with
+    match Option.bind (Json.member "status" j) Json.to_string_opt with
     | Some "OK" ->
       let cached =
-        match Option.bind (Wire.member "plan_cached" j) Wire.to_bool_opt with
+        match Option.bind (Json.member "plan_cached" j) Json.to_bool_opt with
         | Some b -> b
         | None -> false
       in
@@ -188,7 +192,7 @@ let run_session cfg ~start_ns ~k out =
          in
          loop 0)
      with End_of_file | Sys_error _ | Unix.Unix_error _ -> record (elapsed () >= cfg.warmup_s) K_error);
-    (try send_line oc "{\"op\":\"QUIT\"}" with _ -> ());
+    (try send_line oc (op_line "QUIT") with _ -> ());
     (try Unix.close fd with _ -> ())
 
 let run_writer cfg ~start_ns ~period updates =
@@ -204,22 +208,22 @@ let run_writer cfg ~start_ns ~period updates =
          if elapsed () < cfg.duration_s then begin
            incr i;
            let req =
-             Wire.Obj
-               [ "op", Wire.String "UPDATE";
+             Json.Obj
+               [ "op", Json.String "UPDATE";
                  "insert",
-                 Wire.List
-                   [ Wire.Obj
-                       [ "concept", Wire.String "LoadgenMarker";
-                         "ind", Wire.String (Printf.sprintf "%s_%d" tag !i) ] ] ]
+                 Json.List
+                   [ Json.Obj
+                       [ "concept", Json.String "LoadgenMarker";
+                         "ind", Json.String (Printf.sprintf "%s_%d" tag !i) ] ] ]
            in
-           send_line oc (Wire.to_string req);
+           send_line oc (Json.to_string req);
            match classify (input_line ic) with
            | `Ok _ -> incr updates
            | _ -> ()
          end
        done
      with End_of_file | Sys_error _ | Unix.Unix_error _ -> ());
-    (try send_line oc "{\"op\":\"QUIT\"}" with _ -> ());
+    (try send_line oc (op_line "QUIT") with _ -> ());
     (try Unix.close fd with _ -> ())
 
 let final_generation cfg =
@@ -228,16 +232,16 @@ let final_generation cfg =
   | fd, ic, oc -> (
     let gen =
       try
-        send_line oc "{\"op\":\"HELLO\"}";
-        match Wire.of_string (input_line ic) with
+        send_line oc (op_line "HELLO");
+        match Json.of_string (input_line ic) with
         | Ok j -> (
-          match Option.bind (Wire.member "generation" j) Wire.to_int_opt with
+          match Option.bind (Json.member "generation" j) Json.to_int_opt with
           | Some g -> g
           | None -> -1)
         | Error _ -> -1
       with End_of_file | Sys_error _ | Unix.Unix_error _ -> -1
     in
-    (try send_line oc "{\"op\":\"QUIT\"}" with _ -> ());
+    (try send_line oc (op_line "QUIT") with _ -> ());
     (try Unix.close fd with _ -> ());
     gen)
 

@@ -1,3 +1,5 @@
+module Json = Obs.Json
+
 type query_spec = Named of string | Inline of string
 
 type scope = Scope_server | Scope_session | Scope_registry
@@ -25,29 +27,18 @@ type request =
   | Metrics of { m_id : int option; scope : scope }
   | Quit
 
-let strategies =
-  [ "ucq", Obda.Ucq;
-    "uscq", Obda.Uscq;
-    "croot", Obda.Croot;
-    "gdl-rdbms", Obda.Gdl Obda.Rdbms_cost;
-    "gdl-ext", Obda.Gdl Obda.Ext_cost;
-    "gdl20ms-ext", Obda.Gdl_limited (Obda.Ext_cost, 0.020);
-    "edl-ext", Obda.Edl Obda.Ext_cost ]
-
-let strategy_of_name n = List.assoc_opt (String.lowercase_ascii n) strategies
-
-let strategy_names = List.map fst strategies
+let strategy_of_name n = List.assoc_opt (String.lowercase_ascii n) Obda.strategies
 
 (* {1 Request parsing} *)
 
 let ( let* ) = Result.bind
 
 let str_field json k =
-  Option.bind (Wire.member k json) Wire.to_string_opt
+  Option.bind (Json.member k json) Json.to_string_opt
 
-let opt_int_field json k = Option.bind (Wire.member k json) Wire.to_int_opt
+let opt_int_field json k = Option.bind (Json.member k json) Json.to_int_opt
 
-let opt_float_field json k = Option.bind (Wire.member k json) Wire.to_float_opt
+let opt_float_field json k = Option.bind (Json.member k json) Json.to_float_opt
 
 let query_spec_of json =
   match str_field json "query", str_field json "cq" with
@@ -78,7 +69,7 @@ let rec inserts_of = function
 
 let parse_request line =
   let* json =
-    match Wire.of_string line with
+    match Json.of_string line with
     | Ok j -> Ok j
     | Error e -> Error ("bad JSON: " ^ e)
   in
@@ -102,14 +93,14 @@ let parse_request line =
   | "EXPLAIN" ->
     let* e_query = query_spec_of json in
     let e_analyze =
-      match Option.bind (Wire.member "analyze" json) Wire.to_bool_opt with
+      match Option.bind (Json.member "analyze" json) Json.to_bool_opt with
       | Some b -> b
       | None -> false
     in
     Ok (Explain { e_id = id; e_query; e_strategy = str_field json "strategy"; e_analyze })
   | "UPDATE" ->
     let* items =
-      match Option.bind (Wire.member "insert" json) Wire.to_list_opt with
+      match Option.bind (Json.member "insert" json) Json.to_list_opt with
       | Some xs -> Ok xs
       | None -> Error "UPDATE needs an \"insert\" array"
     in
@@ -131,17 +122,17 @@ let parse_request line =
 (* {1 Reply rendering} *)
 
 let with_id id fields =
-  match id with Some i -> ("id", Wire.Int i) :: fields | None -> fields
+  match id with Some i -> ("id", Json.Int i) :: fields | None -> fields
 
 let render status id fields =
-  Wire.to_string (Wire.Obj (("status", Wire.String status) :: with_id id fields))
+  Json.to_string (Json.Obj (("status", Json.String status) :: with_id id fields))
 
 let ok ~id fields = render "OK" id fields
 
-let error ~id reason = render "ERROR" id [ "reason", Wire.String reason ]
+let error ~id reason = render "ERROR" id [ "reason", Json.String reason ]
 
 let overloaded ~id ~queue_depth =
-  render "OVERLOADED" id [ "queue_depth", Wire.Int queue_depth ]
+  render "OVERLOADED" id [ "queue_depth", Json.Int queue_depth ]
 
 let timeout ~id ~deadline_ms =
-  render "TIMEOUT" id [ "deadline_ms", Wire.Float deadline_ms ]
+  render "TIMEOUT" id [ "deadline_ms", Json.Float deadline_ms ]

@@ -1,6 +1,6 @@
 (** The request/reply vocabulary of the OBDA line protocol.
 
-    Every frame is one {!Wire} value on one line. A client sends a
+    Every frame is one {!Obs.Json} value on one line. A client sends a
     JSON object whose ["op"] field names the verb (case-insensitive:
     [HELLO], [ANSWER], [EXPLAIN], [UPDATE], [METRICS], [QUIT]); the
     server replies with a JSON object whose ["status"] field is one of
@@ -46,18 +46,14 @@ val parse_request : string -> (request, string) result
     field, bad JSON) and leave the connection usable. *)
 
 val strategy_of_name : string -> Obda.strategy option
-(** The CLI strategy vocabulary: [ucq], [uscq], [croot], [gdl-rdbms],
-    [gdl-ext], [gdl20ms-ext], [edl-ext]. *)
-
-val strategy_names : string list
-(** All names {!strategy_of_name} accepts, for error messages. *)
+(** {!Obda.strategies}, case-insensitively. *)
 
 (** {2 Reply rendering}
 
     Helpers shared by the server and tests so golden tests compare
     against the same renderer the server uses. *)
 
-val ok : id:int option -> (string * Wire.t) list -> string
+val ok : id:int option -> (string * Obs.Json.t) list -> string
 (** An ["OK"] reply with the given extra fields; [id] is included when
     present. *)
 

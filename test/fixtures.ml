@@ -148,3 +148,12 @@ let example7_query =
         ra "supervisedBy" (v "z") (v "y");
       ]
     ()
+
+(* The labels of the [scan] nodes of an EXPLAIN JSON tree. *)
+let rec scan_labels j =
+  let field k = Obs.Json.member k j in
+  (match Option.bind (field "op") Obs.Json.to_string_opt, field "label" with
+  | Some "scan", Some (Obs.Json.String l) -> [ l ]
+  | _ -> [])
+  @ List.concat_map scan_labels
+      (Option.value ~default:[] (Option.bind (field "children") Obs.Json.to_list_opt))

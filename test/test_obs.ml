@@ -10,118 +10,14 @@ let ra = Fixtures.ra
 
 let ca = Fixtures.ca
 
-(* {1 A minimal JSON well-formedness checker}
+(* Every exporter builds an {!Obs.Json.t}; the tests print it and
+   read it back with the same codec's parser. *)
+let reparse label s =
+  match Obs.Json.of_string s with
+  | Ok j -> j
+  | Error e -> Alcotest.failf "%s: invalid JSON: %s" label e
 
-   The exporters build JSON by hand (no JSON library in the tree), so
-   the tests validate the grammar with a tiny recursive-descent
-   parser: objects, arrays, strings with escapes, numbers, literals. *)
-
-let check_json label s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = Alcotest.failf "%s: invalid JSON at %d: %s" label !pos msg in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance ();
-      skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %c" c)
-  in
-  let literal lit =
-    String.iter expect lit
-  in
-  let string_value () =
-    expect '"';
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' ->
-        advance ();
-        (match peek () with
-        | Some ('"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't') -> advance ()
-        | Some 'u' ->
-          advance ();
-          for _ = 1 to 4 do
-            match peek () with
-            | Some ('0' .. '9' | 'a' .. 'f' | 'A' .. 'F') -> advance ()
-            | _ -> fail "bad \\u escape"
-          done
-        | _ -> fail "bad escape");
-        go ()
-      | Some _ ->
-        advance ();
-        go ()
-    in
-    go ()
-  in
-  let number () =
-    let num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    let start = !pos in
-    while (match peek () with Some c when num_char c -> true | _ -> false) do
-      advance ()
-    done;
-    if !pos = start then fail "expected a number"
-  in
-  let rec value () =
-    skip_ws ();
-    (match peek () with
-    | Some '{' -> obj ()
-    | Some '[' -> arr ()
-    | Some '"' -> string_value ()
-    | Some 't' -> literal "true"
-    | Some 'f' -> literal "false"
-    | Some 'n' -> literal "null"
-    | Some _ -> number ()
-    | None -> fail "expected a value");
-    skip_ws ()
-  and obj () =
-    expect '{';
-    skip_ws ();
-    if peek () = Some '}' then advance ()
-    else begin
-      let rec members () =
-        skip_ws ();
-        string_value ();
-        skip_ws ();
-        expect ':';
-        value ();
-        match peek () with
-        | Some ',' ->
-          advance ();
-          members ()
-        | _ -> expect '}'
-      in
-      members ()
-    end
-  and arr () =
-    expect '[';
-    skip_ws ();
-    if peek () = Some ']' then advance ()
-    else begin
-      let rec elements () =
-        value ();
-        match peek () with
-        | Some ',' ->
-          advance ();
-          elements ()
-        | _ -> expect ']'
-      in
-      elements ()
-    end
-  in
-  value ();
-  if !pos <> n then fail "trailing characters"
+let check_value label j = ignore (reparse label (Obs.Json.to_string j))
 
 (* {1 Metrics registry} *)
 
@@ -186,7 +82,7 @@ let test_reset () =
 
 let test_export () =
   let json = Obs.Metrics.to_json () in
-  check_json "Metrics.to_json" json;
+  ignore (reparse "Metrics.to_json" json);
   let contains hay needle =
     let nl = String.length needle and hl = String.length hay in
     let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
@@ -222,8 +118,10 @@ let test_trace_record () =
       (String.concat "," [ e1.Obs.Trace.label; e2.Obs.Trace.label; e3.Obs.Trace.label ]);
     Alcotest.(check bool) "nan cost on bare emit" true
       (Float.is_nan e3.Obs.Trace.cost);
-    check_json "event_to_json" (Obs.Trace.event_to_json e1);
-    check_json "event_to_json (nan cost)" (Obs.Trace.event_to_json e3)
+    check_value "event_to_json" (Obs.Trace.event_to_json e1);
+    let e3_json = reparse "event_to_json" (Obs.Json.to_string (Obs.Trace.event_to_json e3)) in
+    Alcotest.(check bool) "nan cost prints null" true
+      (Obs.Json.member "cost" e3_json = Some Obs.Json.Null)
   | _ -> Alcotest.fail "expected exactly the three emitted events");
   Alcotest.(check bool) "disabled again after record" false (Obs.Trace.enabled ())
 
@@ -498,10 +396,22 @@ let test_golden_analyze_physical () =
 let test_analyze_json_valid () =
   let layout, plan = example1_plan () in
   let _, stats = Rdbms.Exec.run_analyzed layout plan in
-  check_json "render_analyze_json"
+  check_value "render_analyze_json"
     (Rdbms.Explain.render_analyze_json Rdbms.Explain.pglite layout stats);
-  check_json "render_json"
-    (Rdbms.Explain.render_json Rdbms.Explain.pglite layout plan)
+  check_value "render_json" (Rdbms.Explain.render_json Rdbms.Explain.pglite layout plan);
+  (* Constants with non-ASCII and control bytes: the explain fields the
+     CLI and the server print are valid JSON, and the Scan labels carry
+     the constant's bytes unchanged. *)
+  let engine = Obda.make_engine `Pglite `Simple (Fixtures.example1_abox ()) in
+  List.iter
+    (fun (constant, analyze) ->
+      let q = Syntax.Query_text.parse (Printf.sprintf {|q(?x) <- worksWith(?x, "%s")|} constant) in
+      let o = Obda.explain_json engine Fixtures.example1_tbox Obda.Ucq ~analyze q in
+      let text = Obs.Json.to_string (Obs.Json.Obj (Obda.explain_fields ~analyze o)) in
+      let plan = Option.value ~default:Obs.Json.Null (Obs.Json.member "plan" (reparse text text)) in
+      Alcotest.(check bool) (text ^ ": a Scan label keeps the constant") true
+        (List.mem (Printf.sprintf "Scan worksWith(x,%s)" constant) (Fixtures.scan_labels plan)))
+    [ "Zo\xc3\xab", false; "Zo\xc3\xab", true; "a\001b", false; "a\001b", true ]
 
 let test_q_error () =
   Alcotest.(check (float 1e-9)) "overestimate" 4.

@@ -2,58 +2,65 @@
    and concurrent-vs-sequential answer identity. Every server binds an
    ephemeral port (port 0) so parallel CI runs never collide. *)
 
-module Wire = Server.Wire
+module Json = Obs.Json
 open Fixtures
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
 
-(* {1 Wire} *)
+(* {1 The wire format: Obs.Json} *)
 
 let test_wire_roundtrip () =
   let cases =
-    [ "null", Wire.Null;
-      "true", Wire.Bool true;
-      "42", Wire.Int 42;
-      "-7", Wire.Int (-7);
-      "\"hi\"", Wire.String "hi";
-      "[1,2,3]", Wire.List [ Wire.Int 1; Wire.Int 2; Wire.Int 3 ];
+    [ "null", Json.Null;
+      "true", Json.Bool true;
+      "42", Json.Int 42;
+      "-7", Json.Int (-7);
+      "\"hi\"", Json.String "hi";
+      "[1,2,3]", Json.List [ Json.Int 1; Json.Int 2; Json.Int 3 ];
       "{\"a\":1,\"b\":[true,null]}",
-      Wire.Obj [ "a", Wire.Int 1; "b", Wire.List [ Wire.Bool true; Wire.Null ] ] ]
+      Json.Obj [ "a", Json.Int 1; "b", Json.List [ Json.Bool true; Json.Null ] ] ]
   in
   List.iter
     (fun (text, v) ->
-      check_string "print" text (Wire.to_string v);
-      match Wire.of_string text with
+      check_string "print" text (Json.to_string v);
+      match Json.of_string text with
       | Ok v' -> check_bool ("parse " ^ text) true (v = v')
       | Error e -> Alcotest.failf "parse %s: %s" text e)
     cases
 
 let test_wire_escapes () =
   check_string "control chars escaped" "\"a\\nb\\tc\\\"d\\\\e\""
-    (Wire.to_string (Wire.String "a\nb\tc\"d\\e"));
-  (match Wire.of_string "\"\\u00e9\\u0041\"" with
-  | Ok (Wire.String s) -> check_string "unicode escape" "\xc3\xa9A" s
+    (Json.to_string (Json.String "a\nb\tc\"d\\e"));
+  (match Json.of_string "\"\\u00e9\\u0041\"" with
+  | Ok (Json.String s) -> check_string "unicode escape" "\xc3\xa9A" s
   | _ -> Alcotest.fail "unicode escape");
-  (match Wire.of_string "\"\\ud83d\\ude00\"" with
-  | Ok (Wire.String s) -> check_string "surrogate pair" "\xf0\x9f\x98\x80" s
+  (match Json.of_string "\"\\ud83d\\ude00\"" with
+  | Ok (Json.String s) -> check_string "surrogate pair" "\xf0\x9f\x98\x80" s
   | _ -> Alcotest.fail "surrogate pair");
-  check_bool "nan prints null" true (Wire.to_string (Wire.Float Float.nan) = "null")
+  check_bool "nan prints null" true (Json.to_string (Json.Float Float.nan) = "null")
 
 let test_wire_errors () =
-  let bad = [ "{"; "[1,"; "\"unterminated"; "{\"a\" 1}"; "truefalse"; "1 2"; "nul" ] in
+  (* each malformed input with the offset its error must name *)
+  let bad =
+    [ "{", 1; "[1,", 3; "\"unterminated", 13; "{\"a\" 1}", 5; "truefalse", 4; "1 2", 2;
+      "nul", 0; "\"ab\001\"", 3; String.make 10_001 '[', 10_000 ]
+  in
   List.iter
-    (fun text ->
-      match Wire.of_string text with
+    (fun (text, offset) ->
+      match Json.of_string text with
       | Ok _ -> Alcotest.failf "accepted %S" text
-      | Error _ -> ())
+      | Error e ->
+        let suffix = Printf.sprintf "at offset %d" offset in
+        check_bool (Printf.sprintf "%S names offset %d" e offset) true
+          (String.ends_with ~suffix e))
     bad;
-  (match Wire.of_string " 3.5e2 " with
-  | Ok (Wire.Float f) -> check_bool "float" true (f = 350.)
+  (match Json.of_string " 3.5e2 " with
+  | Ok (Json.Float f) -> check_bool "float" true (f = 350.)
   | _ -> Alcotest.fail "float parse");
-  match Wire.of_string "12" with
-  | Ok (Wire.Int 12) -> ()
+  match Json.of_string "12" with
+  | Ok (Json.Int 12) -> ()
   | _ -> Alcotest.fail "int parse"
 
 (* {1 Protocol parsing and reply rendering} *)
@@ -106,7 +113,7 @@ let test_protocol_parse () =
 
 let test_reply_goldens () =
   check_string "ok" "{\"status\":\"OK\",\"id\":3,\"rows\":2}"
-    (Server.Protocol.ok ~id:(Some 3) [ "rows", Wire.Int 2 ]);
+    (Server.Protocol.ok ~id:(Some 3) [ "rows", Json.Int 2 ]);
   check_string "error" "{\"status\":\"ERROR\",\"reason\":\"boom\"}"
     (Server.Protocol.error ~id:None "boom");
   check_string "overloaded" "{\"status\":\"OVERLOADED\",\"id\":9,\"queue_depth\":4}"
@@ -137,19 +144,19 @@ let recv (_, ic, _) = input_line ic
 let close (fd, _, _) = try Unix.close fd with _ -> ()
 
 let parsed line =
-  match Wire.of_string line with
+  match Json.of_string line with
   | Ok j -> j
   | Error e -> Alcotest.failf "unparseable reply %S: %s" line e
 
 let field line name =
-  match Wire.member name (parsed line) with
+  match Json.member name (parsed line) with
   | Some v -> v
   | None -> Alcotest.failf "reply %S lacks %S" line name
 
-let status line = match field line "status" with Wire.String s -> s | _ -> "?"
+let status line = match field line "status" with Json.String s -> s | _ -> "?"
 
 let int_field line name =
-  match Wire.to_int_opt (field line name) with
+  match Json.to_int_opt (field line name) with
   | Some i -> i
   | None -> Alcotest.failf "reply %S: %S not an int" line name
 
@@ -172,7 +179,7 @@ let test_verb_goldens () =
           check_string "hello status" "OK" (status r);
           check_int "hello generation" 0 (int_field r "generation");
           (match field r "strategies" with
-          | Wire.List l -> check_int "strategies" 7 (List.length l)
+          | Json.List l -> check_int "strategies" 7 (List.length l)
           | _ -> Alcotest.fail "strategies not a list");
           (* ANSWER over an inline CQ *)
           let r =
@@ -183,7 +190,7 @@ let test_verb_goldens () =
           check_int "answer id" 1 (int_field r "id");
           check_int "answer rows" 1 (int_field r "rows");
           check_bool "answer content" true
-            (field r "answers" = Wire.List [ Wire.List [ Wire.String "Damian" ] ]);
+            (field r "answers" = Json.List [ Json.List [ Json.String "Damian" ] ]);
           let answer_cqs = int_field r "cq_count" in
           (* EXPLAIN shows the plan ANSWER ran: the same reformulation,
              served from the plan-cache entry that ANSWER warmed *)
@@ -200,7 +207,7 @@ let test_verb_goldens () =
           check_int "explain served from the plan cache" (before.Cache.Lru.hits + 1)
             after.Cache.Lru.hits;
           check_bool "explain has plan tree" true
-            (match field r "plan" with Wire.Obj _ -> true | _ -> false);
+            (match field r "plan" with Json.Obj _ -> true | _ -> false);
           (* UPDATE: a brand-new fact, then the same fact again *)
           let upd = "{\"op\":\"UPDATE\",\"id\":3,\"insert\":[{\"concept\":\"PhDStudent\",\"ind\":\"newbie\"},{\"role\":\"worksWith\",\"subj\":\"Eva\",\"obj\":\"newbie\"}]}" in
           let r = request c upd in
@@ -226,7 +233,21 @@ let test_verb_goldens () =
           check_int "session requests" 8 (int_field r "requests");
           let r = request c "{\"op\":\"METRICS\",\"scope\":\"registry\"}" in
           check_bool "registry embedded" true
-            (match field r "registry" with Wire.Obj _ -> true | _ -> false);
+            (match field r "registry" with Json.Obj _ -> true | _ -> false);
+          (* EXPLAIN (ANALYZE) of constants with non-ASCII and control
+             bytes: the replies parse, and the Scan labels carry the
+             constant's bytes unchanged *)
+          List.iter
+            (fun (constant, analyze) ->
+              let cq = Json.String (Printf.sprintf {|q(?x) <- worksWith(?x, "%s")|} constant) in
+              let op = [ "op", Json.String "EXPLAIN"; "cq", cq; "analyze", Json.Bool analyze ] in
+              let r = request c (Json.to_string (Json.Obj op)) in
+              check_string ("explain status " ^ r) "OK" (status r);
+              check_bool ("explain scan label " ^ r) true
+                (List.mem
+                   (Printf.sprintf "Scan worksWith(x,%s)" constant)
+                   (scan_labels (field r "plan"))))
+            [ "Zo\xc3\xab", false; "Zo\xc3\xab", true; "a\001b", false; "a\001b", true ];
           (* QUIT *)
           let r = request c "{\"op\":\"QUIT\"}" in
           check_string "quit" "{\"status\":\"OK\",\"bye\":true}" r))
@@ -367,12 +388,12 @@ let qcheck_concurrent_equals_sequential =
                     QCheck2.Test.fail_reportf "session %d %s: %s" k name reply;
                   let rows =
                     match field reply "answers" with
-                    | Wire.List l ->
+                    | Json.List l ->
                       List.map
                         (function
-                          | Wire.List row ->
+                          | Json.List row ->
                             List.map
-                              (function Wire.String s -> s | _ -> "?")
+                              (function Json.String s -> s | _ -> "?")
                               row
                           | _ -> [])
                         l
@@ -464,11 +485,11 @@ let qcheck_concurrent_with_writer =
                     QCheck2.Test.fail_reportf "session %d %s: %s" k name reply;
                   let rows =
                     match field reply "answers" with
-                    | Wire.List l ->
+                    | Json.List l ->
                       List.map
                         (function
-                          | Wire.List row ->
-                            List.map (function Wire.String s -> s | _ -> "?") row
+                          | Json.List row ->
+                            List.map (function Json.String s -> s | _ -> "?") row
                           | _ -> [])
                         l
                     | _ -> []
@@ -479,6 +500,93 @@ let qcheck_concurrent_with_writer =
                 session_results)
             results;
           true))
+
+(* {1 Fuzzing the JSON codec}
+
+   Every property below runs [fuzz_budget] = 10,000 cases. *)
+
+let fuzz_budget = 10_000
+
+let never_raises s = match Json.of_string s with Ok _ | Error _ -> true
+
+let prop_json_random_bytes =
+  let json_byte =
+    QCheck2.Gen.oneofl [ '{'; '}'; '['; ']'; '"'; '\\'; ':'; ','; 'u'; '0'; '-'; 'e' ]
+  in
+  QCheck2.Test.make ~name:"json: random bytes parse to Ok or Error" ~count:fuzz_budget
+    ~print:(Printf.sprintf "%S")
+    QCheck2.Gen.(string_size ~gen:(oneof [ char; json_byte ]) (int_bound 64))
+    never_raises
+
+(* Two real replies: the METRICS registry and an EXPLAIN ANALYZE of Q5. *)
+let real_replies =
+  lazy
+    (let tbox, engine = Lazy.force lubm_kb in
+     let q5 = List.find (fun e -> e.Lubm.Workload.name = "Q5") Lubm.Workload.queries in
+     let o =
+       Obda.explain_json engine tbox (Obda.Gdl Obda.Ext_cost) ~analyze:true q5.Lubm.Workload.query
+     in
+     [| Server.Protocol.ok ~id:None [ "registry", Obs.Metrics.registry () ];
+        Server.Protocol.ok ~id:(Some 5) (Obda.explain_fields ~analyze:true o) |])
+
+(* Byte flips of a real reply, or (no flips) its truncation at [cut]. *)
+let prop_json_mutated_replies =
+  QCheck2.Test.make ~name:"json: byte flips and truncations of real replies" ~count:fuzz_budget
+    QCheck2.Gen.(triple bool nat (list_size (int_bound 4) (pair nat char)))
+    (fun (second, cut, flips) ->
+      let reply = (Lazy.force real_replies).(if second then 1 else 0) in
+      let b = Bytes.of_string reply in
+      List.iter (fun (i, c) -> Bytes.set b (i mod Bytes.length b) c) flips;
+      if flips <> [] then never_raises (Bytes.to_string b)
+      else
+        (* a proper prefix of an object is never a complete value *)
+        Result.is_ok (Json.of_string reply)
+        && Result.is_error (Json.of_string (String.sub reply 0 (cut mod String.length reply))))
+
+(* Print-then-parse equality up to what the text can carry: numbers
+   compare by value, and non-finite floats come back as [null]. *)
+let rec same_value a b =
+  match a, b with
+  | Json.Float f, Json.Null -> not (Float.is_finite f)
+  | Json.Int i, Json.Int j -> i = j
+  | (Json.Int _ | Json.Float _), (Json.Int _ | Json.Float _) ->
+    Json.to_float_opt a = Json.to_float_opt b
+  | Json.List xs, Json.List ys ->
+    List.length xs = List.length ys && List.for_all2 same_value xs ys
+  | Json.Obj xs, Json.Obj ys ->
+    List.length xs = List.length ys
+    && List.for_all2 (fun (k, x) (k', y) -> k = k' && same_value x y) xs ys
+  | _ -> a = b
+
+let gen_json =
+  QCheck2.Gen.(
+    let bytes = string_size ~gen:char (int_bound 8) in
+    let leaf =
+      oneof
+        [ pure Json.Null;
+          map (fun b -> Json.Bool b) bool;
+          map (fun i -> Json.Int i) int;
+          map
+            (fun f -> Json.Float f)
+            (oneof [ float; oneofl [ nan; infinity; neg_infinity; -0. ] ]);
+          map (fun s -> Json.String s) bytes ]
+    in
+    sized_size (int_bound 3)
+    @@ fix (fun self n ->
+           if n = 0 then leaf
+           else
+             oneof
+               [ leaf;
+                 map (fun l -> Json.List l) (list_size (int_bound 4) (self (n - 1)));
+                 map (fun kvs -> Json.Obj kvs) (list_size (int_bound 4) (pair bytes (self (n - 1))))
+               ]))
+
+let prop_json_roundtrip =
+  QCheck2.Test.make ~name:"json: print then parse returns the value" ~count:fuzz_budget
+    ~print:Json.to_string gen_json (fun v ->
+      match Json.of_string (Json.to_string v) with
+      | Ok v' -> same_value v v'
+      | Error e -> QCheck2.Test.fail_reportf "%s" e)
 
 let suite =
   [
@@ -495,4 +603,5 @@ let suite =
     Alcotest.test_case "server: expired deadline gets TIMEOUT" `Quick test_deadline_timeout;
   ]
   @ List.map QCheck_alcotest.to_alcotest
-      [ qcheck_concurrent_equals_sequential; qcheck_concurrent_with_writer ]
+      [ qcheck_concurrent_equals_sequential; qcheck_concurrent_with_writer;
+        prop_json_random_bytes; prop_json_mutated_replies; prop_json_roundtrip ]

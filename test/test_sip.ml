@@ -147,7 +147,7 @@ let test_filter_and_elision () =
     (contains ~affix:"pruned=2" text);
   check_bool "text shows elision" true
     (contains ~affix:"elided=1" text);
-  let json = Explain.render_analyze_json Explain.pglite layout stats in
+  let json = Obs.Json.to_string (Explain.render_analyze_json Explain.pglite layout stats) in
   check_bool "json shows pruning" true
     (contains ~affix:"\"sip_pruned\":2" json)
 

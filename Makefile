@@ -1,6 +1,6 @@
 DUNE ?= dune
 
-.PHONY: all build test stress doc bench-smoke bench-replay bench-engine bench-sip bench-storage bench-server bench-updates bench-reform bench-feedback bench-profile bench ci clean
+.PHONY: all build test stress doc bench-smoke bench-replay bench-engine bench-sip bench-storage bench-server bench-updates bench-reform bench-feedback bench-profile bench-profile-smoke bench ci clean
 
 all: build
 
@@ -130,11 +130,17 @@ bench-feedback: build | $(BENCH_OUT)
 bench-profile:
 	bash perfbench/run.sh --workload all --seed 1 --seconds 16 --trace 0
 
+# The trajectory benchmark as a CI gate: every workload once, seed 1,
+# one-second runs. perfbench checks every answer against its own
+# reference and exits 1 on any failed operation.
+bench-profile-smoke:
+	bash perfbench/run.sh --workload all --seed 1 --seconds 1 --trace 0
+
 # The full benchmark suite at the default (sequential) job count.
 bench: build
 	$(DUNE) exec bench/main.exe
 
-ci: stress doc bench-smoke bench-replay bench-engine bench-sip bench-storage bench-server bench-updates bench-reform bench-feedback
+ci: stress doc bench-smoke bench-replay bench-engine bench-sip bench-storage bench-server bench-updates bench-reform bench-feedback bench-profile-smoke
 
 clean:
 	$(DUNE) clean

@@ -186,14 +186,6 @@ let insert t k v =
 
 let add t k v = locked t (fun () -> if t.capacity > 0 then insert t k v)
 
-let add_if_absent t k v =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.table k with
-      | Some n -> touch t n
-      | None ->
-        if t.capacity > 0 then insert t k v;
-        v)
-
 (* Single flight: the first caller to miss on [k] registers it as
    pending and computes outside the lock; a concurrent caller on the
    same key waits for that result instead of computing it again. One

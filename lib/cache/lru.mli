@@ -73,12 +73,6 @@ val add : ('k, 'v) t -> 'k -> 'v -> unit
 (** Inserts (or replaces) a binding as most-recently used, then
     evicts from the LRU end while over either bound. *)
 
-val add_if_absent : ('k, 'v) t -> 'k -> 'v -> 'v
-(** Like {!add}, but an existing binding wins: returns the stored
-    value (refreshed), or stores and returns [v]. This is the
-    first-writer-wins publication step for racing computations of the
-    same key on the domain pool. *)
-
 val find_or_compute : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v * bool
 (** [find_or_compute t k compute] returns the value bound to [k],
     computing and storing it on a miss; the flag is [true] on a hit.

@@ -80,7 +80,8 @@ type plan_key = {
   k_generation : int option;  (* [None] for data-independent strategies *)
   k_tbox : int;
   k_strategy : string;
-  k_query : string;  (* canonical form *)
+  k_name : string;
+  k_query : string;  (* key of the canonical form *)
 }
 
 let default_plan_cache_capacity = 256
@@ -255,7 +256,8 @@ let plan_key e tbox strategy q =
     k_generation = (if data_independent strategy then None else Some e.generation);
     k_tbox = Dllite.Tbox.uid tbox;
     k_strategy = strategy_name strategy;
-    k_query = Query.Cq.to_string (Query.Cq.canonicalize q);
+    k_name = q.Query.Cq.name;
+    k_query = Query.Cq.key (Query.Cq.canonicalize q);
   }
 
 let feedback_epoch e =

@@ -41,6 +41,17 @@ let pp ppf = function
 
 let to_string a = Fmt.str "%a" pp a
 
+let add_key buf = function
+  | Ca (p, t) ->
+    Buffer.add_char buf 'C';
+    Term.add_string buf p;
+    Term.add_key buf t
+  | Ra (p, t1, t2) ->
+    Buffer.add_char buf 'R';
+    Term.add_string buf p;
+    Term.add_key buf t1;
+    Term.add_key buf t2
+
 (* Unification runs on the union-find unifier: term pairs union their
    classes (constant conflicts abort) and the accumulated triangular
    substitution is read back at the end — the result is identical to

@@ -27,6 +27,11 @@ val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string
 
+val add_key : Buffer.t -> t -> unit
+(** Writes the atom's key: the tag [C] or [R], the predicate name
+    through {!Term.add_string}, then each term's {!Term.add_key}.
+    Injective and prefix-free, like the term keys. *)
+
 val unify : t -> t -> Subst.t option
 (** [unify a1 a2] is a most general unifier of the two atoms, or [None]
     when they do not unify (different predicates or clashing

@@ -106,21 +106,47 @@ let rename_apart ~avoid q =
     in
     substitute s q
 
-(* One canonical-renaming pass: assign names _c0, _c1 … in order of
-   first occurrence while scanning atoms sorted by a renaming-
-   independent key, then sort the body syntactically. *)
-let canonicalize_pass q =
-  let hv = head_vars q in
-  let atom_key a =
-    let term_key t =
-      if Term.is_cst t then "c:" ^ Term.to_string t
-      else if Term.Set.mem t hv then "h:" ^ Term.to_string t
-      else "e"
-    in
-    Atom.pred_name a :: List.map term_key (Atom.terms a)
+let canonical_vars = Array.init 32 (fun i -> Term.Var ("_c" ^ string_of_int i))
+
+let canonical_var i =
+  if i < Array.length canonical_vars then canonical_vars.(i)
+  else Term.Var ("_c" ^ string_of_int i)
+
+(* One canonical-renaming pass over [q], whose head variables are [hv]:
+   assign names _c0, _c1 … in order of first occurrence while scanning
+   atoms sorted by a renaming-independent key, then sort the body
+   syntactically. A name that is already a head variable is skipped,
+   so that no existential is captured by (merged into) a head
+   variable. *)
+let canonicalize_pass hv q =
+  (* The renaming-independent order: by predicate, then term by term
+     constants (by name) before existentials (all alike) before head
+     variables (by name), a concept atom before a role atom that ties
+     with it on the first term. *)
+  let rank t = if Term.is_cst t then 0 else if Term.Set.mem t hv then 2 else 1 in
+  let compare_terms t u =
+    let r = rank t in
+    let c = Int.compare r (rank u) in
+    if c <> 0 || r = 1 then c else String.compare (Term.to_string t) (Term.to_string u)
   in
-  let sorted = List.stable_sort (fun a b -> compare (atom_key a) (atom_key b)) q.body in
-  let mapping = Hashtbl.create 8 in
+  let compare_atoms a b =
+    let c = String.compare (Atom.pred_name a) (Atom.pred_name b) in
+    if c <> 0 then c
+    else
+      match a, b with
+      | Atom.Ca (_, t), Atom.Ca (_, u) -> compare_terms t u
+      | Atom.Ca (_, t), Atom.Ra (_, u, _) ->
+        let c = compare_terms t u in
+        if c <> 0 then c else -1
+      | Atom.Ra (_, t, _), Atom.Ca (_, u) ->
+        let c = compare_terms t u in
+        if c <> 0 then c else 1
+      | Atom.Ra (_, t1, t2), Atom.Ra (_, u1, u2) ->
+        let c = compare_terms t1 u1 in
+        if c <> 0 then c else compare_terms t2 u2
+  in
+  let sorted = List.stable_sort compare_atoms q.body in
+  let mapping = ref [] in
   let next = ref 0 in
   let map_term t =
     match t with
@@ -128,12 +154,16 @@ let canonicalize_pass q =
     | Term.Var v ->
       if Term.Set.mem t hv then t
       else begin
-        match Hashtbl.find_opt mapping v with
+        match List.assoc_opt v !mapping with
         | Some t' -> t'
         | None ->
-          let t' = Term.Var (Printf.sprintf "_c%d" !next) in
-          incr next;
-          Hashtbl.add mapping v t';
+          let rec fresh () =
+            let t' = canonical_var !next in
+            incr next;
+            if Term.Set.mem t' hv then fresh () else t'
+          in
+          let t' = fresh () in
+          mapping := (v, t') :: !mapping;
           t'
       end
   in
@@ -144,29 +174,46 @@ let canonicalize_pass q =
   let body = List.map map_atom sorted in
   { q with body = List.sort Atom.compare (dedup_atoms body) }
 
+(* The head's terms (tagged V/K) end where the first atom (tagged C/R)
+   begins. *)
+let key q =
+  let buf = Buffer.create 256 in
+  List.iter (Term.add_key buf) q.head;
+  List.iter (Atom.add_key buf) q.body;
+  Buffer.contents buf
+
 let compare q1 q2 =
   let c = List.compare Term.compare q1.head q2.head in
   if c <> 0 then c else List.compare Atom.compare q1.body q2.body
 
 let equal q1 q2 = compare q1 q2 = 0
 
-(* On symmetric bodies (e.g. [R(u,v) ∧ R(v,u)]) a single pass is not
-   idempotent: the name assignment can flip on every application. The
-   canonical form is therefore the least body (w.r.t. [compare])
-   along the pass trajectory, which every element of the trajectory
-   also maps into — making the result a true fixpoint. *)
+(* On symmetric bodies (e.g. [R(u,v) ∧ R(v,u)]) and on chains
+   (e.g. [R(u,v) ∧ R(v,w)]) a single pass is not idempotent: the name
+   assignment can change on every application. Passes are therefore
+   repeated until a form recurs; the forms from its first occurrence
+   on are a cycle the pass maps onto itself, and the canonical form is
+   the least of them (w.r.t. [compare]). Every form of that cycle
+   leads back to the same cycle, so the result is a true fixpoint. A
+   form the first pass leaves unchanged is its own cycle. *)
 let canonicalize q =
-  let rec walk current best seen fuel =
-    if fuel = 0 then best
-    else
-      let next = canonicalize_pass current in
-      if List.exists (equal next) seen then best
-      else
-        let best = if compare next best < 0 then next else best in
-        walk next best (next :: seen) (fuel - 1)
+  let hv = head_vars q in
+  let least forms =
+    List.fold_left (fun m f -> if compare f m < 0 then f else m) (List.hd forms) forms
   in
-  let first = canonicalize_pass q in
-  walk first first [ first ] 8
+  (* [trajectory] is newest first *)
+  let rec walk trajectory fuel =
+    let next = canonicalize_pass hv (List.hd trajectory) in
+    let rec cycle acc = function
+      | [] -> None
+      | f :: rest -> if equal f next then Some (f :: acc) else cycle (f :: acc) rest
+    in
+    match cycle [] trajectory with
+    | Some forms -> least forms
+    | None -> if fuel = 0 then least trajectory else walk (next :: trajectory) (fuel - 1)
+  in
+  let first = canonicalize_pass hv q in
+  if equal first q then first else walk [ first ] 8
 
 (* Extends [s] so that term [t1] of the source maps to term [t2] of the
    target; unlike unification, the target side is never bound. *)

@@ -48,11 +48,21 @@ val rename_apart : avoid:Term.Set.t -> t -> t
 (** Renames existential variables so that they avoid the given set. *)
 
 val canonicalize : t -> t
-(** Renames existential variables to a canonical sequence determined by
-    a deterministic atom ordering, and sorts the body. Two CQs that are
-    syntactically identical up to existential renaming receive the same
-    canonical form (the converse may fail for rare symmetric bodies,
-    which is harmless for its use as a duplicate filter). *)
+(** Renames existential variables to a canonical sequence
+    [_c0, _c1, …] determined by a deterministic atom ordering, and
+    sorts the body. Capture-free: a name that is already a head
+    variable is skipped, so the result has the same answers as the
+    input over every database. Idempotent, and two CQs that are
+    syntactically identical up to existential renaming receive the
+    same canonical form. *)
+
+val key : t -> string
+(** The identity of a CQ for caches and duplicate tables: an
+    injective encoding of the head and the body through
+    {!Term.add_key} and {!Atom.add_key}. The query name is not part of
+    it. [key a = key b] iff [a] and [b] have equal heads and bodies;
+    [key (canonicalize q)] identifies [q] up to existential
+    renaming. *)
 
 val compare : t -> t -> int
 (** Syntactic comparison (use after {!canonicalize} for set semantics). *)

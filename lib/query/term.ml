@@ -21,6 +21,29 @@ let to_string = function Var v -> v | Cst c -> c
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)
 
+(* A printer writes [Var "x"] and [Cst "x"] alike and lets a name
+   containing a separator pass for two, so it must never key a cache:
+   two distinct queries would share an entry and one would be answered
+   with the other's plan. Keys are written instead as a prefix code —
+   a tag per term and a length before every name — in which distinct
+   values always differ. *)
+let rec add_digits buf n =
+  if n >= 10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+
+let add_string buf s =
+  add_digits buf (String.length s);
+  Buffer.add_char buf ':';
+  Buffer.add_string buf s
+
+let add_key buf = function
+  | Var v ->
+    Buffer.add_char buf 'V';
+    add_string buf v
+  | Cst c ->
+    Buffer.add_char buf 'K';
+    add_string buf c
+
 module Ord = struct
   type nonrec t = t
 

@@ -18,9 +18,26 @@ val var_name : t -> string option
 
 val pp : Format.formatter -> t -> unit
 (** Variables print as their name, constants as their name too; use
-    {!to_string} when an unambiguous rendering is needed. *)
+    {!add_key} to identify a term. *)
 
 val to_string : t -> string
+
+(** {1 Identity}
+
+    The one key encoding of query values: every cache and duplicate
+    table of the engine keys a term, an atom or a CQ through these
+    encoders ({!Atom.add_key}, {!Cq.key}), never through a printer. *)
+
+val add_string : Buffer.t -> string -> unit
+(** [add_string buf s] writes [s] length-prefixed ([<length>:<bytes>]),
+    so that any byte may occur in [s] and the end of [s] is known
+    without a separator. *)
+
+val add_key : Buffer.t -> t -> unit
+(** Writes the term's key: the tag [V] or [K], then the name through
+    {!add_string}. Injective and prefix-free: distinct terms — a
+    variable and a constant of the same name among them — write
+    distinct keys, and no key is a proper prefix of another. *)
 
 module Set : Set.S with type elt = t
 

@@ -27,7 +27,7 @@ let total_atoms u =
 let dedup u =
   let seen = Hashtbl.create 64 in
   let keep cq =
-    let key = Cq.to_string (Cq.canonicalize cq) in
+    let key = Cq.key (Cq.canonicalize cq) in
     if Hashtbl.mem seen key then false
     else begin
       Hashtbl.add seen key ();

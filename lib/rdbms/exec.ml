@@ -154,16 +154,20 @@ let fresh_run_caches () =
     Cache.Lru.create ~name:"exec.build" ~capacity () )
 
 (* A scan signature independent of variable names, so that R(x,y) in
-   one union arm and R(u,v) in another share the same cached result. *)
+   one union arm and R(u,v) in another share the same cached result:
+   the atom's key with each variable replaced by the position of its
+   first occurrence, which keeps R(x,x) apart from R(x,y). *)
 let scan_signature atom =
-  match atom with
-  | Atom.Ca (p, Term.Var _) -> Printf.sprintf "c:%s:V" p
-  | Atom.Ca (p, Term.Cst k) -> Printf.sprintf "c:%s:K:%s" p k
-  | Atom.Ra (p, Term.Var v1, Term.Var v2) ->
-    if v1 = v2 then Printf.sprintf "r:%s:VS" p else Printf.sprintf "r:%s:VV" p
-  | Atom.Ra (p, Term.Var _, Term.Cst k) -> Printf.sprintf "r:%s:VK:%s" p k
-  | Atom.Ra (p, Term.Cst k, Term.Var _) -> Printf.sprintf "r:%s:KV:%s" p k
-  | Atom.Ra (p, Term.Cst k1, Term.Cst k2) -> Printf.sprintf "r:%s:KK:%s:%s" p k1 k2
+  let marker pos t = if Term.is_var t then Term.Var pos else t in
+  let shape =
+    match atom with
+    | Atom.Ca (p, t) -> Atom.Ca (p, marker "0" t)
+    | Atom.Ra (p, t1, t2) ->
+      Atom.Ra (p, marker "0" t1, marker (if Term.equal t1 t2 then "0" else "1") t2)
+  in
+  let buf = Buffer.create 32 in
+  Atom.add_key buf shape;
+  Buffer.contents buf
 
 (* Canonical scan: output columns are position markers $0, $1. The
    results are columnar views of the storage layer — on the simple

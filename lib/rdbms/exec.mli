@@ -54,8 +54,7 @@ type view_store = (string list * string, Relation.t) Cache.Lru.t
     a bounded LRU shared {e across} query executions. Every
     [Materialize] node's result is keyed by the fragment's read set
     ({!Plan.predicates}) paired with the injective
-    {!Plan.structural_key} (plan {e text} would conflate a variable
-    with an equally-named constant) and costed at the exact
+    {!Plan.structural_key} and costed at the exact
     {!Relation.bytes} of the stored columns; it is reused verbatim on
     the next query that materialises the same fragment against the
     same data. After an update, {!invalidate_views} drops exactly the
@@ -167,6 +166,9 @@ val decode_rows : Layout.t -> Relation.t -> string list list
 val fresh_counters : unit -> counters
 
 val scan_signature : Query.Atom.t -> string
-(** Variable-name-independent signature of an atom access — the key of
+(** Variable-name-independent signature of an atom access: the atom's
+    {!Query.Atom.add_key} with each variable replaced by the position
+    of its first occurrence, so [R(x,y)] and [R(u,v)] share a
+    signature and [R(x,x)] has its own — the key of
     the scan and build caches, also used by the cost estimators to
     recognise repeated scans. *)

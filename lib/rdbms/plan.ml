@@ -114,38 +114,15 @@ let predicates plan =
   go plan;
   List.sort_uniq String.compare !acc
 
-(* An injective serialisation of a plan. [pp] is for humans and
-   conflates a variable with an equally-named constant (both print as
-   the bare name), so it must never key a cache; this form
-   length-prefixes every string and tags every term/operator, making
-   it a prefix code — two distinct plans always differ. Used by the
-   executor's view store for [Materialize] fragments. *)
+(* An injective serialisation of a plan, written with the query
+   layer's key encoders ({!Query.Term.add_key}); every operator is
+   tagged and every list counted, so two distinct plans always
+   differ. Used by the executor's view store for [Materialize]
+   fragments. *)
 let structural_key plan =
   let buf = Buffer.create 256 in
-  let str s =
-    Buffer.add_string buf (string_of_int (String.length s));
-    Buffer.add_char buf ':';
-    Buffer.add_string buf s
-  in
-  let term = function
-    | Query.Term.Var v ->
-      Buffer.add_char buf 'V';
-      str v
-    | Query.Term.Cst c ->
-      Buffer.add_char buf 'K';
-      str c
-  in
-  let atom = function
-    | Query.Atom.Ca (p, t) ->
-      Buffer.add_char buf 'C';
-      str p;
-      term t
-    | Query.Atom.Ra (p, t1, t2) ->
-      Buffer.add_char buf 'R';
-      str p;
-      term t1;
-      term t2
-  in
+  let str = Query.Term.add_string buf in
+  let atom = Query.Atom.add_key buf in
   let strs l =
     Buffer.add_string buf (string_of_int (List.length l));
     Buffer.add_char buf '[';

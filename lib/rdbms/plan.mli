@@ -58,10 +58,10 @@ val predicates : t -> string list
     after updates. *)
 
 val structural_key : t -> string
-(** An injective serialisation of the plan (length-prefixed,
-    term-tagged — a prefix code): equal keys imply equal plans. Keys
-    the executor's materialised-view store; unlike {!pp}, it never
-    conflates a variable with an equally-named constant. *)
+(** An injective serialisation of the plan, written with
+    {!Query.Term.add_key} and {!Query.Atom.add_key} (a prefix code):
+    equal keys imply equal plans. Keys the executor's
+    materialised-view store. *)
 
 val scan_count : t -> int
 

@@ -27,37 +27,20 @@ let contained_in_raw tbox q1 q2 =
 (* TBox-relative containment chases the frozen body — expensive, and
    the same (tbox, q1, q2) triple recurs whenever reformulations of
    overlapping fragments are compared. Verdicts are memoised in a
-   bounded LRU keyed by TBox uid and the canonical forms of both
-   sides, so alpha-equivalent queries share an entry. *)
-let cache : (string, bool) Cache.Lru.t =
+   bounded LRU keyed by TBox uid and the keys of both sides' canonical
+   forms, so alpha-equivalent queries share an entry. *)
+let cache : (int * string * string, bool) Cache.Lru.t =
   Cache.Lru.create ~name:"containment" ~capacity:4096 ()
 
 let clear_cache () = Cache.Lru.clear cache
 
-(* Kind-aware rendering: a pretty-printer writes [Var "x"] and
-   [Cst "x"] identically, which would fold distinct queries onto one
-   cache entry. *)
-let term_key t =
-  match t with Term.Var v -> "?" ^ v | Term.Cst c -> "!" ^ c
-
-let cq_key q =
-  let q = Cq.canonicalize q in
-  let atom_key a =
-    Atom.pred_name a ^ "(" ^ String.concat "," (List.map term_key (Atom.terms a)) ^ ")"
-  in
-  String.concat ","
-    (List.map term_key q.Cq.head)
-  ^ "<-"
-  ^ String.concat "^" (List.map atom_key (Cq.atoms q))
-
 let contained_in tbox q1 q2 =
   if Cq.arity q1 <> Cq.arity q2 then
     invalid_arg "Containment.contained_in: arity mismatch";
-  let key =
-    string_of_int (Dllite.Tbox.uid tbox) ^ "/" ^ cq_key q1 ^ " [= " ^ cq_key q2
-  in
-  match Cache.Lru.find cache key with
-  | Some b -> b
-  | None -> Cache.Lru.add_if_absent cache key (contained_in_raw tbox q1 q2)
+  let key q = Cq.key (Cq.canonicalize q) in
+  fst
+    (Cache.Lru.find_or_compute cache
+       (Dllite.Tbox.uid tbox, key q1, key q2)
+       (fun () -> contained_in_raw tbox q1 q2))
 
 let equivalent tbox q1 q2 = contained_in tbox q1 q2 && contained_in tbox q2 q1

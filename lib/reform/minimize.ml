@@ -97,43 +97,6 @@ let minimize_cq q =
   in
   shrink (remake q (dedup_atoms (Cq.atoms q)))
 
-(* Kind-aware rendering for hash keys: variables and constants carry
-   distinct sigils, so a [Var "x"] never collides with a [Cst "x"], and
-   string hashing (unlike the generic [Hashtbl.hash] on a whole CQ,
-   which samples only a few nodes) stays uniform over thousands of
-   structurally similar disjuncts. *)
-let add_term_key buf t =
-  match t with
-  | Term.Var v ->
-    Buffer.add_char buf '?';
-    Buffer.add_string buf v
-  | Term.Cst c ->
-    Buffer.add_char buf '!';
-    Buffer.add_string buf c
-
-let rendered_key (cq : Cq.t) =
-  let buf = Buffer.create 64 in
-  List.iter
-    (fun t ->
-      add_term_key buf t;
-      Buffer.add_char buf ',')
-    cq.Cq.head;
-  Buffer.add_char buf '|';
-  List.iter
-    (fun a ->
-      Buffer.add_string buf (Atom.pred_name a);
-      Buffer.add_char buf '(';
-      List.iter
-        (fun t ->
-          add_term_key buf t;
-          Buffer.add_char buf ',')
-        (Atom.terms a);
-      Buffer.add_char buf ')')
-    (Cq.atoms cq);
-  Buffer.contents buf
-
-let canonical_key cq = rendered_key (Cq.canonicalize cq)
-
 module SS = Set.Make (String)
 
 let pred_set cq =
@@ -198,25 +161,8 @@ let hom_possible ~pmask ~cmask ~heads ~head_free i j =
 let minimize (u : Ucq.t) =
   Obs.Metrics.time m_minimize_ms @@ fun () ->
   let minimized = List.map minimize_cq (Ucq.disjuncts u) in
-  (* O(1) dedup of syntactic duplicates, keyed by the kind-aware
-     rendering of the canonical form (no conflation of same-named
-     variables and constants). First occurrence wins, as in
-     {!Query.Ucq.dedup}. *)
-  let seen = Hashtbl.create 64 in
-  let deduped =
-    List.filter
-      (fun cq ->
-        let key = canonical_key cq in
-        if Hashtbl.mem seen key then begin
-          Obs.Metrics.incr m_dedup_hits;
-          false
-        end
-        else begin
-          Hashtbl.add seen key ();
-          true
-        end)
-      minimized
-  in
+  let deduped = Ucq.disjuncts (Ucq.dedup (Ucq.make minimized)) in
+  Obs.Metrics.add m_dedup_hits (List.length minimized - List.length deduped);
   let ds = Array.of_list deduped in
   let n = Array.length ds in
   let pmask = masks_of (Array.map pred_set ds) in

@@ -9,15 +9,6 @@
     [reform.containment.skipped], [reform.containment.memo_hits] and
     the [reform.minimize_ms] histogram. *)
 
-val rendered_key : Query.Cq.t -> string
-(** Kind-aware hash key of a CQ as-is: variables and constants carry
-    distinct sigils, so same-named variables and constants never
-    collide. Callers hashing modulo renaming canonicalize first (or
-    use {!canonical_key}). *)
-
-val canonical_key : Query.Cq.t -> string
-(** [rendered_key] of {!Query.Cq.canonicalize}. *)
-
 val minimize_cq : Query.Cq.t -> Query.Cq.t
 (** {!Query.Cq.minimize} with an exact skip of atoms whose predicate
     occurs only once in the body (no homomorphism target exists for

@@ -79,13 +79,13 @@ let m_cache_hits =
 
 let reformulate_raw tbox q =
   let seen = Hashtbl.create 256 in
-  let canonical_key cq = Cq.to_string (Cq.canonicalize cq) in
-  Hashtbl.add seen (canonical_key q) ();
+  let identity cq = Cq.key (Cq.canonicalize cq) in
+  Hashtbl.add seen (identity q) ();
   let results = ref [ q ] in
   let frontier = Queue.create () in
   Queue.add q frontier;
   let push cq =
-    let key = canonical_key cq in
+    let key = identity cq in
     if not (Hashtbl.mem seen key) then begin
       Hashtbl.add seen key ();
       let cq = Cq.canonicalize cq in
@@ -115,21 +115,11 @@ let reformulate_raw tbox q =
 
 (* {2 The fast fixpoint}
 
-   Same BFS as {!reformulate_raw}, three constant factors removed:
-
-   - the per-atom scan of the whole positive-axiom list is replaced by
-     a per-TBox index bucketing axioms by the predicate they rewrite
-     (bucket order preserves axiom order, so the generated CQ order is
-     unchanged);
-   - the seen-set is keyed by the canonical CQ {e value} instead of
-     its rendering — no string building per candidate, and no
-     conflation of equally-named variables and constants;
-   - canonical forms are memoised by raw CQ value, so a candidate
-     regenerated identically (reduce steps and specialisations that
-     introduce no fresh variable) canonicalises once.
-
-   Every accepted CQ and its order is identical to the raw fixpoint
-   (up to the variable/constant conflation the string key had). *)
+   Same BFS as {!reformulate_raw}, with the per-atom scan of the
+   whole positive-axiom list replaced by a per-TBox index bucketing
+   axioms by the predicate they rewrite. Bucket order preserves axiom
+   order, so every accepted CQ and its order is identical to the raw
+   fixpoint. *)
 
 type spec_index = {
   by_concept : (string, Dllite.Axiom.t list) Hashtbl.t;
@@ -229,18 +219,18 @@ let atom_specializations_fast idx q atom =
 
 let reformulate_fixpoint tbox q =
   let idx = spec_index_of tbox in
-  (* The seen-set is keyed by the kind-aware rendering of the canonical
-     form: string hashing stays uniform over thousands of structurally
-     similar CQs, where the generic [Hashtbl.hash] on the CQ value
-     itself samples too few nodes and degenerates to bucket scans. *)
+  (* The seen-set is keyed by the key of the canonical form: string
+     hashing stays uniform over thousands of structurally similar CQs,
+     where the generic [Hashtbl.hash] on the CQ value itself samples
+     too few nodes and degenerates to bucket scans. *)
   let seen : (string, unit) Hashtbl.t = Hashtbl.create 256 in
-  Hashtbl.add seen (Minimize.canonical_key q) ();
+  Hashtbl.add seen (Cq.key (Cq.canonicalize q)) ();
   let results = ref [ q ] in
   let frontier = Queue.create () in
   Queue.add q frontier;
   let push cq =
     let c = Cq.canonicalize cq in
-    let key = Minimize.rendered_key c in
+    let key = Cq.key c in
     if Hashtbl.mem seen key then Obs.Metrics.incr Minimize.m_dedup_hits
     else begin
       Hashtbl.add seen key ();
@@ -276,17 +266,17 @@ let reformulate tbox q = Minimize.minimize (reformulate_fixpoint tbox q)
 
 let reformulate_naive tbox q = Ucq.minimize (reformulate_raw tbox q)
 
-(* One bounded LRU for every TBox, keyed on the TBox uid stamp plus
-   the rendering of the query — uids make entries from dead TBoxes
-   unreachable, and the LRU bound reclaims them under pressure. The
-   cache is shared across domains (fragment reformulation fans out
-   during cover search); [Cache.Lru] locks internally, the
-   reformulation itself runs outside the lock, and two domains missing
-   on the same key simply compute the same UCQ twice, with the first
-   writer winning ({!Cache.Lru.add_if_absent}). *)
+(* One bounded LRU for every TBox, keyed on the TBox uid stamp, the
+   query name (the disjuncts carry it) and the query's key — uids make
+   entries from dead TBoxes unreachable, and the LRU bound reclaims
+   them under pressure. The cache is shared across domains (fragment
+   reformulation fans out during cover search); [Cache.Lru] locks
+   internally, the reformulation itself runs outside the lock, and a
+   domain missing on a key another domain is computing waits for that
+   result instead of computing it again. *)
 let default_cache_capacity = 1024
 
-let cache : (string, Ucq.t) Cache.Lru.t =
+let cache : (int * string * string, Ucq.t) Cache.Lru.t =
   Cache.Lru.create
     ~cost_of:(fun u -> Ucq.total_atoms u * 64)
     ~name:"reform" ~capacity:default_cache_capacity ()
@@ -297,14 +287,9 @@ let cache_stats () = Cache.Lru.stats cache
 
 let clear_cache () = Cache.Lru.clear cache
 
-let cache_key tbox q =
-  string_of_int (Dllite.Tbox.uid tbox) ^ "/" ^ Cq.to_string q
-
 let reformulate_cached tbox q =
   Obs.Metrics.incr m_cache_requests;
-  let key = cache_key tbox q in
-  match Cache.Lru.find cache key with
-  | Some u ->
-    Obs.Metrics.incr m_cache_hits;
-    u
-  | None -> Cache.Lru.add_if_absent cache key (reformulate tbox q)
+  let key = Dllite.Tbox.uid tbox, q.Cq.name, Cq.key q in
+  let u, hit = Cache.Lru.find_or_compute cache key (fun () -> reformulate tbox q) in
+  if hit then Obs.Metrics.incr m_cache_hits;
+  u

@@ -35,7 +35,7 @@ val reformulate_naive : Dllite.Tbox.t -> Query.Cq.t -> Query.Ucq.t
 
 val reformulate_cached : Dllite.Tbox.t -> Query.Cq.t -> Query.Ucq.t
 (** Same as {!reformulate}, with memoisation keyed on
-    [Dllite.Tbox.uid] and the rendering of the query — the
+    [Dllite.Tbox.uid], the query name and {!Query.Cq.key} — the
     cover-search algorithms reformulate the same fragment queries
     repeatedly. The cache is a bounded, process-wide
     {!Cache.Lru} (default capacity {!default_cache_capacity}). *)

@@ -101,12 +101,6 @@ let test_find_or_compute_single_flight () =
   check_int "recomputed after a failure" 7
     (fst (Cache.Lru.find_or_compute c "boom" (fun () -> 7)))
 
-let test_add_if_absent () =
-  let c = Cache.Lru.create ~name:"t.race" ~capacity:4 () in
-  check_int "stores on absent" 1 (Cache.Lru.add_if_absent c "k" 1);
-  check_int "first writer wins" 1 (Cache.Lru.add_if_absent c "k" 2);
-  Alcotest.(check (option int)) "stored value unchanged" (Some 1) (find_int c "k")
-
 let test_version () =
   let c = Cache.Lru.create ~name:"t.version" ~capacity:4 () in
   Cache.Lru.add c "a" 1;
@@ -133,6 +127,39 @@ let test_stats_pp () =
   let line = Fmt.str "%a" Cache.Lru.pp_stats (Cache.Lru.stats c) in
   check_bool "pp mentions the name" true (contains ~sub:"t.pp" line)
 
+(* The reformulation cache reads through [find_or_compute]: domains
+   missing on a fragment another domain is reformulating wait for that
+   result, so a cold GDL search requests and hits the cache the same
+   number of times at any job count. *)
+let test_reform_cache_totals_across_jobs () =
+  let tbox = Lubm.Ontology.tbox in
+  let layout =
+    Rdbms.Layout.simple_of_abox (Lubm.Generator.generate ~seed:3 ~target_facts:1_000 ())
+  in
+  let est = Optimizer.Estimator.ext (Cost.Cost_model.calibrated `Pglite) layout in
+  let counter name =
+    match Obs.Metrics.find_counter name with
+    | Some c -> Obs.Metrics.counter_value c
+    | None -> Alcotest.failf "counter %s not registered" name
+  in
+  let totals jobs =
+    Reform.Perfectref.clear_cache ();
+    Reform.Containment.clear_cache ();
+    let requests = counter "reform.cache.requests"
+    and hits = counter "reform.cache.hits" in
+    ignore (Optimizer.Gdl.search ~jobs tbox est (Lubm.Workload.q 9));
+    counter "reform.cache.requests" - requests, counter "reform.cache.hits" - hits
+  in
+  let ((requests, hits) as t1) = totals 1 in
+  check_bool "the search requests fragments" true (requests > 0);
+  check_bool "the search hits the cache" true (hits > 0);
+  List.iter
+    (fun jobs ->
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "requests and hits at jobs=%d equal jobs=1" jobs)
+        t1 (totals jobs))
+    [ 2; 4 ]
+
 (* {1 Properties}
 
    The caching layer must be semantically invisible: a get-or-compute
@@ -143,9 +170,7 @@ let test_stats_pp () =
 let compute ~version k = (k * 97) + (version * 100_000)
 
 let cached_get c ~version k =
-  match Cache.Lru.find c k with
-  | Some v -> v
-  | None -> Cache.Lru.add_if_absent c k (compute ~version k)
+  fst (Cache.Lru.find_or_compute c k (fun () -> compute ~version k))
 
 let prop_bounded_equals_unbounded =
   QCheck2.Test.make ~name:"bounded cache = direct compute under eviction"
@@ -182,9 +207,10 @@ let suite =
     Alcotest.test_case "lru: replace" `Quick test_replace;
     Alcotest.test_case "lru: capacity 0 disables" `Quick test_disabled;
     Alcotest.test_case "lru: byte budget + admission" `Quick test_cost_bound;
-    Alcotest.test_case "lru: add_if_absent race protocol" `Quick test_add_if_absent;
     Alcotest.test_case "lru: versioned invalidation" `Quick test_version;
     Alcotest.test_case "lru: stats rendering" `Quick test_stats_pp;
+    Alcotest.test_case "reform cache: totals invariant across jobs 1/2/4" `Quick
+      test_reform_cache_totals_across_jobs;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_bounded_equals_unbounded; prop_version_never_stale ]

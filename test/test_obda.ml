@@ -340,6 +340,86 @@ let test_plan_cache_eviction_equivalence () =
       check_bool "evictions happened" true
         ((Obda.plan_cache_stats ()).Cache.Lru.evictions > 0))
 
+(* {1 Query identity}
+
+   Every cache and dedup table keys a query by [Query.Cq.key], which
+   tells a variable from an equally-named constant and a separator
+   inside a name from one between names. Each test below is a small
+   ABox on which a conflating key once served the wrong answers. *)
+
+let parse = Syntax.Query_text.parse
+
+(* [q(?x) <- worksWith(?x, ?x)] and [q(?x) <- worksWith(?x, "x")] print
+   alike. Keyed by the printed form, the second query was served the
+   first one's plan and reformulation and answered [[b]], also after
+   clearing the plan cache alone. *)
+let test_var_and_constant_keys_apart () =
+  let abox () =
+    Dllite.Abox.of_assertions ~concepts:[]
+      ~roles:[ "worksWith", "a", "x"; "worksWith", "b", "b" ]
+  in
+  let self_loop = parse {|q(?x) <- worksWith(?x, ?x)|} in
+  let constant = parse {|q(?x) <- worksWith(?x, "x")|} in
+  List.iter
+    (fun strategy ->
+      let engine = Obda.make_engine `Pglite `Simple (abox ()) in
+      let name = Obda.strategy_name strategy in
+      Alcotest.(check (list (list string)))
+        ("self-loop " ^ name) [ [ "b" ] ]
+        (answers_of (Obda.answer engine Dllite.Tbox.empty strategy self_loop));
+      Alcotest.(check (list (list string)))
+        ("constant after self-loop " ^ name) [ [ "a" ] ]
+        (answers_of (Obda.answer engine Dllite.Tbox.empty strategy constant)))
+    [ Obda.Ucq; Obda.Croot; Obda.Gdl Obda.Ext_cost ]
+
+(* Canonicalisation once renamed the existential [y] of
+   [q(?_c0) <- takesCourse(?_c0, ?y)] to the head variable's own name
+   [_c0], turning the query into the self-loop
+   [q(?_c0) <- takesCourse(?_c0, ?_c0)]: after the self-loop query, it
+   answered only [[c3]] under Croot, and the subrole [attends] was
+   reformulated into a self-loop too. *)
+let test_canonical_form_capture_free () =
+  let tbox = Dllite.Tbox.of_axioms [ rsub (named "attends") (named "takesCourse") ] in
+  let abox () =
+    Dllite.Abox.of_assertions ~concepts:[]
+      ~roles:
+        [
+          "takesCourse", "s1", "c1"; "attends", "s2", "c2"; "takesCourse", "c3", "c3";
+        ]
+  in
+  let self_loop = parse {|q(?_c0) <- takesCourse(?_c0, ?_c0)|} in
+  let open_loop = parse {|q(?_c0) <- takesCourse(?_c0, ?y)|} in
+  List.iter
+    (fun strategy ->
+      let engine = Obda.make_engine `Pglite `Simple (abox ()) in
+      let name = Obda.strategy_name strategy in
+      Alcotest.(check (list (list string)))
+        ("self-loop " ^ name) [ [ "c3" ] ]
+        (answers_of (Obda.answer engine tbox strategy self_loop));
+      Alcotest.(check (list (list string)))
+        ("existential after self-loop " ^ name)
+        [ [ "c3" ]; [ "s1" ]; [ "s2" ] ]
+        (answers_of (Obda.answer engine tbox strategy open_loop)))
+    [ Obda.Croot; Obda.Ucq ]
+
+(* The scan cache keyed [worksWith("a", "b:c")] and
+   [worksWith("a:b", "c")] alike (names joined by [:]), so db2lite
+   answered the second atom with the first one's scan and the Boolean
+   query came out true; pglite, with no scan cache, answered false. *)
+let test_scan_signature_separator () =
+  let abox () =
+    Dllite.Abox.of_assertions ~concepts:[]
+      ~roles:[ "worksWith", "a:b", "c"; "worksWith", "z", "a"; "worksWith", "b:c", "z" ]
+  in
+  let q = parse {|q() <- worksWith("a", "b:c"), worksWith("a:b", "c")|} in
+  List.iter
+    (fun ek ->
+      let engine = Obda.make_engine ek `Simple (abox ()) in
+      Alcotest.(check (list (list string)))
+        (Obda.engine_name engine ^ " answers false") []
+        (answers_of (Obda.answer engine Dllite.Tbox.empty Obda.Ucq q)))
+    [ `Db2lite; `Pglite ]
+
 let test_inconsistent_kb_detected () =
   (* The paper's framework assumes a T-consistent ABox; the library
      exposes the consistency check to enforce the precondition. *)
@@ -368,4 +448,10 @@ let suite =
     Alcotest.test_case "plan cache eviction equivalence" `Quick
       test_plan_cache_eviction_equivalence;
     Alcotest.test_case "inconsistent kb detected" `Quick test_inconsistent_kb_detected;
+    Alcotest.test_case "identity: variable and constant key apart" `Quick
+      test_var_and_constant_keys_apart;
+    Alcotest.test_case "identity: canonical form is capture-free" `Quick
+      test_canonical_form_capture_free;
+    Alcotest.test_case "identity: scan signature keeps names apart" `Quick
+      test_scan_signature_separator;
   ]

@@ -84,7 +84,17 @@ let test_cq_canonicalize_stable () =
   let q2 =
     Cq.make ~head:[ v "x" ] ~body:[ ca "A" (v "w"); ra "R" (v "x") (v "w") ] ()
   in
-  check_bool "same canonical form" true (Cq.equal (Cq.canonicalize q1) (Cq.canonicalize q2))
+  check_bool "same canonical form" true (Cq.equal (Cq.canonicalize q1) (Cq.canonicalize q2));
+  (* On a chain a single renaming pass moves the names on every
+     application; the canonical form was once the first pass's output,
+     which canonicalised to a second form. *)
+  let chain =
+    Cq.make ~head:[ v "x" ]
+      ~body:[ ca "A" (v "x"); ra "R" (v "u") (v "w"); ra "R" (v "w") (v "z") ]
+      ()
+  in
+  let c = Cq.canonicalize chain in
+  check_bool "chain canonical form is a fixpoint" true (Cq.equal c (Cq.canonicalize c))
 
 let test_cq_hom_containment () =
   (* q1(x) <- R(x,y) ^ A(y)  is contained in  q2(x) <- R(x,y). *)
@@ -278,6 +288,180 @@ let prop_ucq_minimize_keeps_maximal =
           List.exists (fun k -> Cq.contained_in d k) (Ucq.disjuncts m))
         (Ucq.disjuncts u))
 
+(* {1 Query identity}
+
+   [Cq.key], [Cq.canonicalize] and the executor's scan signature over a
+   tiny alphabet in which variable names and constants overlap and
+   contain the separators a printed key would use. Each property runs
+   [identity_budget] cases. *)
+
+let identity_budget = 10_000
+
+let names = [ "x"; "a"; "c"; "_c0"; "_c1"; "a:b"; "b:c"; ":"; ","; "("; ")"; "?"; "!" ]
+
+let gen_name = QCheck2.Gen.oneofl names
+
+let gen_id_term =
+  QCheck2.Gen.(oneof [ map (fun n -> v n) gen_name; map (fun n -> c n) gen_name ])
+
+let gen_id_atom =
+  QCheck2.Gen.(
+    oneof
+      [
+        map2 (fun p t -> ca p t) (oneofl [ "A"; "A:B" ]) gen_id_term;
+        map3 (fun p t1 t2 -> ra p t1 t2) (oneofl [ "R"; "R(S" ]) gen_id_term gen_id_term;
+      ])
+
+(* Safe CQs: each head term is a body variable or a constant. *)
+let gen_id_cq =
+  QCheck2.Gen.(
+    let* body = list_size (int_range 1 3) gen_id_atom in
+    let vars =
+      Term.Set.elements
+        (List.fold_left (fun s a -> Term.Set.union s (Atom.vars a)) Term.Set.empty body)
+    in
+    let gen_head_term =
+      if vars = [] then map c gen_name else oneof [ oneofl vars; map c gen_name ]
+    in
+    let* head = list_size (int_range 0 2) gen_head_term in
+    return (Cq.make ~head ~body ()))
+
+let map_atom f = function
+  | Atom.Ca (p, t) -> Atom.Ca (p, f t)
+  | Atom.Ra (p, t1, t2) -> Atom.Ra (p, f t1, f t2)
+
+(* Pairs of unrelated CQs, equal CQs, and CQs one term apart: the
+   term at a random position turned from a variable into the
+   equally-named constant or back (kept safe by [Cq.make]). *)
+let gen_cq_pair =
+  QCheck2.Gen.(
+    let flip = function Term.Var n -> c n | Term.Cst n -> v n in
+    let flipped q i =
+      let k = ref (-1) in
+      let f t =
+        incr k;
+        if !k = i then flip t else t
+      in
+      let body = List.map (map_atom f) q.Cq.body in
+      match Cq.make ~head:q.Cq.head ~body () with
+      | q' -> q'
+      | exception Invalid_argument _ -> q
+    in
+    oneof
+      [
+        pair gen_id_cq gen_id_cq;
+        map (fun q -> q, q) gen_id_cq;
+        map2 (fun q i -> q, flipped q i) gen_id_cq (int_bound 5);
+      ])
+
+let prop_key_injective =
+  QCheck2.Test.make ~name:"Cq.key equal iff head and body equal" ~count:identity_budget
+    gen_cq_pair
+    (fun (a, b) ->
+      let same =
+        List.equal Term.equal a.Cq.head b.Cq.head && List.equal Atom.equal a.Cq.body b.Cq.body
+      in
+      Cq.key a = Cq.key b = same
+      && Cq.key a = Cq.key (Cq.make ~name:"other" ~head:a.Cq.head ~body:a.Cq.body ()))
+
+(* An alpha-renaming: the existential variables mapped injectively onto
+   names that are not head variables. *)
+let gen_alpha_renamed =
+  QCheck2.Gen.(
+    let* q = gen_id_cq in
+    let ex = Term.Set.elements (Cq.existential_vars q) in
+    let free =
+      List.filter
+        (fun n -> not (Term.Set.mem (v n) (Cq.head_vars q)))
+        (names @ [ "y"; "z"; "w" ])
+    in
+    let* targets = shuffle_l free in
+    let renaming =
+      List.combine ex (List.filteri (fun i _ -> i < List.length ex) targets)
+    in
+    let rename t = match List.assoc_opt t renaming with Some n -> v n | None -> t in
+    return (q, Cq.make ~head:q.Cq.head ~body:(List.map (map_atom rename) q.Cq.body) ()))
+
+let prop_alpha_shares_key =
+  QCheck2.Test.make ~name:"alpha-renamed copies and the canonical form share its key"
+    ~count:identity_budget gen_alpha_renamed
+    (fun (q, q') ->
+      let k = Cq.key (Cq.canonicalize q) in
+      k = Cq.key (Cq.canonicalize q') && k = Cq.key (Cq.canonicalize (Cq.canonicalize q)))
+
+(* Every name of the alphabet as an individual, with self-loops, so
+   that constants and repeated variables both select something. *)
+let identity_abox =
+  let rng = Random.State.make [| 11 |] in
+  let pick () = List.nth names (Random.State.int rng (List.length names)) in
+  Dllite.Abox.of_assertions
+    ~concepts:(List.concat_map (fun p -> List.init 6 (fun _ -> p, pick ())) [ "A"; "A:B" ])
+    ~roles:
+      (List.concat_map
+         (fun p ->
+           List.init 12 (fun _ -> p, pick (), pick ())
+           @ List.map (fun n -> p, n, n) [ "x"; "_c0" ])
+         [ "R"; "R(S" ])
+
+let prop_canonicalize_keeps_answers =
+  QCheck2.Test.make ~name:"canonicalize keeps the answers" ~count:identity_budget gen_id_cq
+    (fun q ->
+      eval_fol identity_abox (Fol.of_cq q)
+      = eval_fol identity_abox (Fol.of_cq (Cq.canonicalize q)))
+
+(* Equality up to variable renaming, decided by building the renaming:
+   a bijection between the two atoms' variables, identity on constants. *)
+let alpha_equal_atoms a1 a2 =
+  let rec go fwd bwd = function
+    | [], [] -> true
+    | Term.Cst k1 :: r1, Term.Cst k2 :: r2 -> String.equal k1 k2 && go fwd bwd (r1, r2)
+    | Term.Var x :: r1, Term.Var y :: r2 -> (
+      match List.assoc_opt x fwd, List.assoc_opt y bwd with
+      | None, None -> go ((x, y) :: fwd) ((y, x) :: bwd) (r1, r2)
+      | Some y', Some x' -> String.equal y y' && String.equal x x' && go fwd bwd (r1, r2)
+      | _ -> false)
+    | _ -> false
+  in
+  Atom.is_role a1 = Atom.is_role a2
+  && String.equal (Atom.pred_name a1) (Atom.pred_name a2)
+  && go [] [] (Atom.terms a1, Atom.terms a2)
+
+(* Pairs of unrelated atoms, renamed copies, and role atoms whose two
+   constants meet at a different [:] (["a"], ["b:c"] and ["a:b"],
+   ["c"]), which a signature joining names with [:] confuses. *)
+let gen_atom_pair_id =
+  QCheck2.Gen.(
+    let renamed a =
+      map
+        (fun n -> map_atom (function Term.Var x -> v (x ^ n) | t -> t) a)
+        (oneofl [ "'"; "2" ])
+    in
+    let resplit a i =
+      match a with
+      | Atom.Ra (p, Term.Cst k1, Term.Cst k2) ->
+        let s = k1 ^ ":" ^ k2 in
+        let cuts =
+          List.filter (fun j -> s.[j] = ':') (List.init (String.length s) Fun.id)
+        in
+        let j = List.nth cuts (i mod List.length cuts) in
+        ra p (c (String.sub s 0 j)) (c (String.sub s (j + 1) (String.length s - j - 1)))
+      | a -> a
+    in
+    oneof
+      [
+        pair gen_id_atom gen_id_atom;
+        (let* a = gen_id_atom in
+         map (fun a' -> a, a') (renamed a));
+        map2 (fun a i -> a, resplit a i) gen_id_atom nat;
+      ])
+
+let prop_scan_signature =
+  QCheck2.Test.make ~name:"scan signatures equal iff atoms equal up to renaming"
+    ~count:identity_budget gen_atom_pair_id
+    (fun (a1, a2) ->
+      Rdbms.Exec.scan_signature a1 = Rdbms.Exec.scan_signature a2
+      = alpha_equal_atoms a1 a2)
+
 (* {1 Undoable union-find and the union-find unifier} *)
 
 let test_unionfind_basic () =
@@ -402,6 +586,10 @@ let props =
       prop_canonicalize_preserves_equivalence;
       prop_minimize_canonicalize_commute_on_answers;
       prop_ucq_minimize_keeps_maximal;
+      prop_key_injective;
+      prop_alpha_shares_key;
+      prop_canonicalize_keeps_answers;
+      prop_scan_signature;
     ]
 
 let suite =

@@ -298,7 +298,7 @@ let test_cached_reformulation () =
    pressure (capacity 1) the cached path must still return exactly the
    reformulation the direct path computes. *)
 let ucq_fingerprint u =
-  List.sort compare (List.map (fun d -> Cq.to_string (Cq.canonicalize d)) (Ucq.disjuncts u))
+  List.sort compare (List.map (fun d -> Cq.key (Cq.canonicalize d)) (Ucq.disjuncts u))
 
 let test_bounded_cache_equivalence () =
   Reform.Perfectref.clear_cache ();

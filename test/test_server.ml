@@ -248,6 +248,48 @@ let test_verb_goldens () =
                    (Printf.sprintf "Scan worksWith(x,%s)" constant)
                    (scan_labels (field r "plan"))))
             [ "Zo\xc3\xab", false; "Zo\xc3\xab", true; "a\001b", false; "a\001b", true ];
+          (* One session cannot poison another's plan. Session A asks
+             the self-loop query, then session B the query with the
+             constant "x" in its place, which prints alike; B's rows
+             must be a fresh engine's answers over cold caches. Keyed
+             by the printed form, B was served A's plan and got
+             [["b"]] instead of [["a"]]. *)
+          let r =
+            request c
+              {|{"op":"UPDATE","insert":[{"role":"worksWith","subj":"a","obj":"x"},{"role":"worksWith","subj":"b","obj":"b"}]}|}
+          in
+          check_string "cross-session facts" "OK" (status r);
+          let answers conn cq =
+            let op = [ "op", Json.String "ANSWER"; "cq", Json.String cq ] in
+            let r = request conn (Json.to_string (Json.Obj op)) in
+            check_string ("cross-session answer " ^ r) "OK" (status r);
+            field r "answers"
+          in
+          let constant_cq = {|q(?x) <- worksWith(?x, "x")|} in
+          ignore (answers c {|q(?x) <- worksWith(?x, ?x)|});
+          let b = connect (Server.Core.port t) in
+          let rows_b =
+            Fun.protect ~finally:(fun () -> close b) (fun () -> answers b constant_cq)
+          in
+          let abox = example1_abox () in
+          List.iter
+            (fun (subj, obj) -> Dllite.Abox.add_role abox ~role:"worksWith" ~subj ~obj)
+            [ "Eva", "newbie"; "a", "x"; "b", "b" ];
+          Dllite.Abox.add_concept abox ~concept:"PhDStudent" ~ind:"newbie";
+          Obda.clear_plan_cache ();
+          Reform.Perfectref.clear_cache ();
+          let fresh =
+            Obda.answers_exn
+              (Obda.make_engine `Pglite `Simple abox)
+              example1_tbox Server.Core.default_config.default_strategy
+              (Syntax.Query_text.parse constant_cq)
+          in
+          let to_json rows =
+            Json.List (List.map (fun r -> Json.List (List.map (fun v -> Json.String v) r)) rows)
+          in
+          check_string "session B = fresh engine" (Json.to_string (to_json fresh))
+            (Json.to_string rows_b);
+          check_bool "the fresh engine answers a" true (fresh = [ [ "a" ] ]);
           (* QUIT *)
           let r = request c "{\"op\":\"QUIT\"}" in
           check_string "quit" "{\"status\":\"OK\",\"bye\":true}" r))

@@ -159,6 +159,74 @@ let test_datalog_jucq () =
   check_bool "ans rule over fragments" true
     (String.length last > 4 && String.sub last 0 4 = "ans(")
 
+(* {1 Fuzzing the query parser}
+
+   [Query_text.parse] is the server's input path to the query keys. On
+   any input it returns a CQ or raises [Parse_error], and every CQ it
+   returns round-trips: [parse (to_text q)] has the key of [q]. Each
+   property runs [fuzz_budget] = 10,000 cases. *)
+
+let fuzz_budget = 10_000
+
+let parses_soundly s =
+  match Syntax.Query_text.parse s with
+  | exception Syntax.Query_text.Parse_error _ -> true
+  | q ->
+    Query.Cq.key (Syntax.Query_text.parse (Syntax.Query_text.to_text q)) = Query.Cq.key q
+
+let prop_parse_random_bytes =
+  let query_byte =
+    QCheck2.Gen.oneofl [ '('; ')'; ','; '?'; '"'; '<'; '-'; ' '; 'q'; 'x'; 'R'; '_'; ':' ]
+  in
+  QCheck2.Test.make ~name:"query parse: random bytes" ~count:fuzz_budget
+    ~print:(Printf.sprintf "%S")
+    QCheck2.Gen.(string_size ~gen:(oneof [ char; query_byte ]) (int_bound 64))
+    parses_soundly
+
+(* Text shaped like a query (name, argument lists, arrow, atoms) over
+   names that clash with keywords, variables and separators; many
+   parse, some fail on arity, safety or the [exists] keyword. *)
+let prop_parse_query_shaped =
+  let open QCheck2.Gen in
+  let name = oneofl [ "q"; "R"; "A"; "exists"; "_c0"; "x"; "a.b" ] in
+  let term =
+    oneof
+      [
+        map (fun n -> "?" ^ n) name;
+        name;
+        map (Printf.sprintf "%S") (oneofl [ "x"; "a:b"; ""; "(,)"; "?x"; "!"; "_c0" ]);
+      ]
+  in
+  let args = map (fun ts -> "(" ^ String.concat ", " ts ^ ")") (list_size (int_bound 3) term) in
+  let atom = map2 ( ^ ) name args in
+  QCheck2.Test.make ~name:"query parse: query-shaped text" ~count:fuzz_budget
+    ~print:(Printf.sprintf "%S")
+    (map3
+       (fun n head body -> n ^ head ^ " <- " ^ String.concat ", " body)
+       name args (list_size (int_range 1 3) atom))
+    parses_soundly
+
+let workload_texts =
+  lazy
+    (Array.of_list
+       (List.map
+          (fun e -> Syntax.Query_text.to_text e.Lubm.Workload.query)
+          (Lubm.Workload.queries @ Lubm.Workload.star_queries)))
+
+(* Byte flips of a workload query's text, or (no flips) its truncation
+   at [cut]. *)
+let prop_parse_mutated_workload =
+  QCheck2.Test.make ~name:"query parse: byte flips and truncations of the workload"
+    ~count:fuzz_budget
+    QCheck2.Gen.(triple nat nat (list_size (int_bound 4) (pair nat char)))
+    (fun (which, cut, flips) ->
+      let texts = Lazy.force workload_texts in
+      let text = texts.(which mod Array.length texts) in
+      let b = Bytes.of_string text in
+      List.iter (fun (i, c) -> Bytes.set b (i mod Bytes.length b) c) flips;
+      if flips <> [] then parses_soundly (Bytes.to_string b)
+      else parses_soundly text && parses_soundly (String.sub text 0 (cut mod String.length text)))
+
 let suite =
   [
     Alcotest.test_case "datalog ucq" `Quick test_datalog_ucq;
@@ -175,3 +243,5 @@ let suite =
     Alcotest.test_case "tbox file io" `Quick test_tbox_file_io;
     Alcotest.test_case "axiom rendering" `Quick test_axiom_to_text_forms;
   ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [ prop_parse_random_bytes; prop_parse_query_shaped; prop_parse_mutated_workload ]
